@@ -96,7 +96,6 @@ def _run_leg(name, warm, trigger_time):
         # The cold leg is the paper's plain Figure-2 baseline: no warm
         # starts, no divergence-window early exits, no outcome memo.
         target.early_exit = False
-        target.memoize = False
     t0 = time.perf_counter()
     sink = target.run_campaign(campaign)
     seconds = time.perf_counter() - t0

@@ -107,7 +107,6 @@ def _run_leg(name, accelerated, trigger_time):
         # The plain warm-start tail (goofi run --no-early-exit): every
         # experiment simulates to termination, nothing is memoized.
         target.early_exit = False
-        target.memoize = False
     t0 = time.perf_counter()
     sink = target.run_campaign(campaign)
     seconds = time.perf_counter() - t0

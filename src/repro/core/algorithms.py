@@ -18,7 +18,7 @@ from __future__ import annotations
 import abc
 import random
 import time as _time
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.core.campaign import CampaignData
 from repro.core.checkpoint import (
@@ -50,26 +50,24 @@ from repro.observability import get_observability
 from repro.util.errors import CampaignError, NotImplementedByPort
 from repro.util.rng import CampaignRandom
 
+if TYPE_CHECKING:
+    from repro.staticanalysis.equivalence import EquivalencePartition
+
 # Reference-run cycle budget when the campaign does not set an explicit
 # timeout (the reference run has no prior duration to derive one from).
 _REFERENCE_BUDGET = 50_000_000
 
-#: Techniques eligible for golden-run warm starts: their pre-injection
-#: prefix is pure execution from reset, so restoring a reference-run
-#: checkpoint at or before the first injection time is state-identical
-#: to re-simulating it. The SWIFI techniques mutate the image or
-#: instrumentation *before* execution starts and therefore always start
-#: cold.
-WARM_START_TECHNIQUES = ("scifi", "simfi", "pinlevel")
-
-#: Techniques whose experiments may be collapsed by the equivalence
-#: engine. The soundness argument (see
-#: :mod:`repro.staticanalysis.equivalence`) requires that an experiment
-#: is "golden execution up to a stop-at-cycle breakpoint, then one bit
-#: flip" — exactly the stop-and-inject techniques. The SWIFI variants
-#: mutate the image or instrument the workload before execution, so two
-#: different injection times are different programs from cycle 0.
-EQUIVALENCE_TECHNIQUES = ("scifi", "simfi", "pinlevel")
+#: The stop-and-inject techniques: an experiment is golden execution up
+#: to a stop-at-cycle breakpoint, then the injection. Only they may
+#: warm-start from a reference-run checkpoint (the prefix is pure
+#: execution from reset, so a restore is state-identical to
+#: re-simulating it) and only they may be collapsed by the equivalence
+#: engine (the soundness argument of
+#: :mod:`repro.staticanalysis.equivalence` needs exactly this shape). The
+#: SWIFI variants mutate the image or instrument the workload before
+#: execution starts, so they always start cold and two different
+#: injection times are different programs from cycle 0.
+STOP_AND_INJECT_TECHNIQUES = ("scifi", "simfi", "pinlevel")
 
 
 class StopCampaign(Exception):
@@ -101,6 +99,235 @@ class _ListSink:
         self, campaign: CampaignData, result: ExperimentResult
     ) -> None:
         self.results.append(result)
+
+
+class ExperimentSchedule:
+    """Which experiments of one campaign run execute, and which row each
+    index logs: the equivalence policy (plan → partition → derive →
+    verify) that the serial loop and the parallel engine both drive.
+
+    Without equivalence collapsing every index is its own execution unit
+    and logs its own result. With it (``preinjection_mode="equivalence"``,
+    a stop-and-inject technique, summary logging) the schedule plans
+    every index, partitions the plans, and hands out one execution unit
+    per class: the representative plus the members sampled for
+    verification (``verify_equivalence``), which run with the memo
+    bypassed. Every other member's row is derived from the
+    representative's result only when :meth:`row` is asked for it, and
+    a representative's result is held only while derived members of its
+    class are pending.
+
+    A runner executes the indices of :meth:`units` (or, serially, each
+    index for which :meth:`executes` holds), hands results to
+    :meth:`accept` — or a placeholder to :meth:`fail` when no result can
+    be had — and logs :meth:`row` in :attr:`order`."""
+
+    def __init__(
+        self,
+        port: "FaultInjectionAlgorithms",
+        reference: ReferenceRun,
+        order: Iterable[int],
+    ) -> None:
+        self.port = port
+        #: Indices to run, in the order their rows are logged.
+        self.order: List[int] = list(order)
+        #: index -> plan for every index of a collapsed campaign (empty
+        #: otherwise: each execution then plans itself).
+        self.plans: Dict[int, InjectionPlan] = {}
+        self._partition: Optional["EquivalencePartition"] = None
+        #: derived member -> its representative.
+        self._rep_of: Dict[int, int] = {}
+        #: representative -> derived members whose rows are not out yet.
+        self._pending: Dict[int, int] = {}
+        self._rep_results: Dict[int, ExperimentResult] = {}
+        #: members executed for real and compared against the derivation.
+        self._verify: Set[int] = set()
+        #: executed (or failed) results not handed out as rows yet.
+        self._results: Dict[int, ExperimentResult] = {}
+        campaign = port._require_campaign()
+        # Detail mode is excluded: per-instruction state logs differ
+        # *inside* an unobserved def-use region, so only terminal
+        # outcomes — not detail logs — are class-invariant.
+        if (
+            port._equivalence is None
+            or campaign.technique not in STOP_AND_INJECT_TECHNIQUES
+            or campaign.logging_mode == "detail"
+        ):
+            return
+        self.plans = {
+            index: port.plan_experiment(index, reference)
+            for index in self.order
+        }
+        self._partition = partition = port._equivalence.partition(self.plans)
+        stats = partition.stats()
+        metrics = get_observability().metrics
+        if metrics.enabled:
+            metrics.counter("equivalence.classes").inc(stats.n_classes)
+            metrics.counter("equivalence.executed").inc(stats.n_executed)
+            metrics.counter("equivalence.collapsed").inc(stats.n_derived)
+        self._rep_of = partition.derived_map()
+        for rep in self._rep_of.values():
+            self._pending[rep] = self._pending.get(rep, 0) + 1
+        fraction = port.verify_equivalence
+        if fraction > 0.0:
+            # Index-keyed stream, disjoint from the planning substreams.
+            self._verify = {
+                member
+                for member in self._rep_of
+                if fraction >= 1.0
+                or random.Random(f"{campaign.seed}:verify:{member}").random()
+                < fraction
+            }
+
+    def units(self) -> List[List[int]]:
+        """Execution units in dispatch order: lists of indices that must
+        land in the same shard — one class's representative and its
+        verify-sampled members, or a single index."""
+        if self._partition is None:
+            return [[index] for index in self.order]
+        return [
+            [cls.representative]
+            + [member for member in cls.members[1:] if member in self._verify]
+            for cls in self._partition.classes
+        ]
+
+    def executes(self, index: int) -> bool:
+        """Does ``index`` run for real (anything but a plain derived
+        member)?"""
+        return index not in self._rep_of or index in self._verify
+
+    def verifies(self, index: int) -> bool:
+        """Is ``index`` a verification run? It must bypass the memo: a
+        verification that replays a memo would verify nothing."""
+        return index in self._verify
+
+    def accept(self, index: int, result: ExperimentResult) -> None:
+        """Record the executed result of ``index``."""
+        if self._pending.get(index):
+            self._rep_results[index] = result
+        self._results[index] = result
+
+    def fail(self, index: int, placeholder: ExperimentResult) -> List[int]:
+        """No result can be had for ``index``: ``placeholder`` becomes
+        its row. A failed verify member is no longer compared. A failed
+        representative's members can no longer be derived, so they run
+        for real: the returned members must now be executed (its verify
+        members already are)."""
+        self._results[index] = placeholder
+        rep = self._rep_of.pop(index, None)
+        if rep is not None:
+            self._verify.discard(index)
+            self._release(rep)
+            return []
+        if not self._pending.pop(index, 0):
+            return []
+        assert self._partition is not None
+        members = [
+            member
+            for member in self._partition.class_of(index).members[1:]
+            if self._rep_of.get(member) == index
+        ]
+        for member in members:
+            del self._rep_of[member]
+        return [member for member in members if member not in self._verify]
+
+    def row(self, index: int) -> Optional[ExperimentResult]:
+        """The row ``index`` logs, or None while it is not ready (its
+        own result, or its representative's, has not arrived). Derived
+        rows are built here, verified members compared here; call once
+        per index, when the row is about to be logged."""
+        rep = self._rep_of.get(index)
+        if rep is None:
+            return self._results.pop(index, None)
+        rep_result = self._rep_results.get(rep)
+        if rep_result is None:
+            return None
+        actual = None
+        if index in self._verify:
+            actual = self._results.pop(index, None)
+            if actual is None:
+                return None
+        derived = self._derive(index, rep_result)
+        if actual is not None:
+            self.check_derived_outcome(index, actual, derived)
+        self._release(rep)
+        return derived
+
+    def _release(self, rep: int) -> None:
+        """One derived member of ``rep``'s class is settled; drop the
+        representative's result once none is pending."""
+        self._pending[rep] -= 1
+        if not self._pending[rep]:
+            del self._pending[rep]
+            self._rep_results.pop(rep, None)
+
+    def _derive(
+        self, index: int, rep_result: ExperimentResult
+    ) -> ExperimentResult:
+        """Statically-derived outcome of a non-representative member.
+
+        Everything observable at termination is copied from the executed
+        representative — that is the equivalence theorem. The injection
+        record keeps the *member's* own injection time (the flipped
+        value is class-invariant: no write to the location happens
+        between the two injection instants).
+        """
+        result = self.port._new_result(index)
+        result.derived_from = rep_result.name
+        times = [action.time for action in self.plans[index].sorted_actions()]
+        for i, injection in enumerate(rep_result.injections):
+            result.injections.append(
+                Injection(
+                    time=times[i] if i < len(times) else injection.time,
+                    location=injection.location,
+                    op=injection.op,
+                    bit_before=injection.bit_before,
+                    bit_after=injection.bit_after,
+                )
+            )
+        assert rep_result.termination is not None
+        result.termination = Termination.from_dict(
+            rep_result.termination.to_dict()
+        )
+        result.outputs = dict(rep_result.outputs)
+        result.state_vector = dict(rep_result.state_vector)
+        result.wall_seconds = 0.0
+        return result
+
+    @staticmethod
+    def check_derived_outcome(
+        index: int,
+        actual: ExperimentResult,
+        derived: ExperimentResult,
+    ) -> None:
+        """Compare a real execution against its static derivation and
+        hard-fail the campaign on any divergence (the ``--verify-
+        equivalence`` contract)."""
+        mismatches = []
+        if [i.to_dict() for i in actual.injections] != [
+            i.to_dict() for i in derived.injections
+        ]:
+            mismatches.append("injections")
+        actual_term = actual.termination.to_dict() if actual.termination else None
+        derived_term = (
+            derived.termination.to_dict() if derived.termination else None
+        )
+        if actual_term != derived_term:
+            mismatches.append("termination")
+        if actual.outputs != derived.outputs:
+            mismatches.append("outputs")
+        if actual.state_vector != derived.state_vector:
+            mismatches.append("state_vector")
+        if mismatches:
+            raise CampaignError(
+                f"equivalence verification failed for experiment {index} "
+                f"(derived from {derived.derived_from}): "
+                f"{', '.join(mismatches)} diverged — the static "
+                "equivalence certificate is unsound for this class"
+            )
+        metrics = get_observability().metrics
+        if metrics.enabled:
+            metrics.counter("equivalence.verified").inc()
 
 
 class FaultInjectionAlgorithms(abc.ABC):
@@ -153,20 +380,18 @@ class FaultInjectionAlgorithms(abc.ABC):
         #: Checkpoints captured along the reference run (warm starts);
         #: None when the campaign, technique or port rules them out.
         self._checkpoints: Optional[CheckpointStore] = None
-        #: Divergence-window execution: probe the faulty run's state
-        #: digest against the golden checkpoints after injection and
-        #: synthesize the golden outcome on re-convergence instead of
-        #: simulating the tail. Not part of CampaignData for the same
-        #: reason as :attr:`verify_equivalence`: it changes how much is
-        #: simulated, never what the campaign computes (byte-identity is
-        #: property-tested), so it must not perturb config hashes.
-        #: Disabled by ``goofi run --no-early-exit``.
+        #: The post-injection fast paths. Divergence-window execution
+        #: probes the faulty run's state digest against the golden
+        #: checkpoints after injection and synthesizes the golden outcome
+        #: on re-convergence instead of simulating the tail; outcome
+        #: memoization replays the recorded outcome of an earlier
+        #: experiment with the same (restore checkpoint digest, canonical
+        #: injection delta) key instead of executing. Not part of
+        #: CampaignData for the same reason as :attr:`verify_equivalence`:
+        #: it changes how much is simulated, never what the campaign
+        #: computes (byte-identity is property-tested), so it must not
+        #: perturb config hashes. Disabled by ``goofi run --no-early-exit``.
         self.early_exit: bool = True
-        #: Outcome memoization: replay the recorded outcome of an
-        #: earlier experiment with the same (restore checkpoint digest,
-        #: canonical injection delta) key instead of executing. Same
-        #: non-CampaignData rationale as :attr:`early_exit`.
-        self.memoize: bool = True
         #: Per-campaign-binding memo table (reset on rebind: a "cold"
         #: key from another workload must never shortcut this one).
         self._memo: Optional[OutcomeMemo] = None
@@ -409,7 +634,7 @@ class FaultInjectionAlgorithms(abc.ABC):
         warm = (
             campaign.warm_start
             and not detail
-            and campaign.technique in WARM_START_TECHNIQUES
+            and campaign.technique in STOP_AND_INJECT_TECHNIQUES
         )
         store: Optional[CheckpointStore] = None
         with get_observability().profile(
@@ -595,11 +820,18 @@ class FaultInjectionAlgorithms(abc.ABC):
     #: technique name -> bound per-experiment procedure name (the
     #: counterpart of TECHNIQUE_METHODS for a single experiment).
     TECHNIQUE_EXPERIMENTS = {
-        "scifi": "_experiment_scifi",
+        "scifi": "_experiment_stop_and_inject",
         "swifi-pre": "_experiment_swifi_pre",
         "swifi-runtime": "_experiment_swifi_runtime",
-        "simfi": "_experiment_simfi",
-        "pinlevel": "_experiment_pinlevel",
+        "simfi": "_experiment_stop_and_inject",
+        "pinlevel": "_experiment_stop_and_inject",
+    }
+
+    #: stop-and-inject technique -> its inject step (bound method name).
+    INJECT_STEPS = {
+        "scifi": "_inject_scan",
+        "simfi": "inject_fault_direct",
+        "pinlevel": "force_pins",
     }
 
     def _cold_prefix(self) -> None:
@@ -610,15 +842,36 @@ class FaultInjectionAlgorithms(abc.ABC):
         self._apply_detail_mode()
         self.run_workload()
 
-    def _try_restore(self, plan: InjectionPlan) -> bool:
-        """Warm-start the experiment from the latest reference-run
-        checkpoint *strictly before* the plan's first injection time.
+    def _restore_index(self, plan: InjectionPlan) -> Optional[int]:
+        """Index of the reference-run checkpoint this plan's experiment
+        warm-starts from, or None when it starts cold from reset. Both
+        the restore itself and the memo key (which must name the true
+        starting state) ask this one question.
 
-        Strictly before, not at-or-before: a checkpoint captured exactly
-        at the injection cycle would land the restored target on the
-        injection instant and skip that cycle's trigger/pre-injection
+        The checkpoint is the latest one *strictly before* the plan's
+        first injection time, not at-or-before: a checkpoint captured
+        exactly at the injection cycle would land the restored target on
+        the injection instant and skip that cycle's trigger/pre-injection
         evaluation, so the first-injection hop must always approach the
-        injection time from earlier state.
+        injection time from earlier state."""
+        store = self._checkpoints
+        campaign = self._require_campaign()
+        if (
+            store is None
+            or len(store) == 0
+            or not campaign.warm_start
+            or campaign.logging_mode == "detail"
+            or campaign.technique not in STOP_AND_INJECT_TECHNIQUES
+        ):
+            return None
+        actions = plan.sorted_actions()
+        if not actions:
+            return None
+        return store.nearest_before(actions[0].time)
+
+    def _try_restore(self, plan: InjectionPlan) -> bool:
+        """Warm-start the experiment from its :meth:`_restore_index`
+        checkpoint.
 
         Returns True when the target is now in the restored state (the
         caller skips the cold prefix); False when no checkpoint applies
@@ -626,19 +879,11 @@ class FaultInjectionAlgorithms(abc.ABC):
         target is untouched/garbage and the caller must take the cold
         path (which starts with ``init_test_card`` and is therefore
         always safe)."""
-        store = self._checkpoints
-        campaign = self._require_campaign()
-        if store is None or len(store) == 0:
-            return False
-        if campaign.logging_mode == "detail":
-            return False
-        actions = plan.sorted_actions()
-        if not actions:
-            return False
-        index = store.nearest_before(actions[0].time)
+        index = self._restore_index(plan)
         if index is None:
             return False
-        image = store.restore_image(index)
+        assert self._checkpoints is not None
+        image = self._checkpoints.restore_image(index)
         obs = get_observability()
         try:
             with obs.profile("checkpoint.restore", cycle=image.cycle):
@@ -664,10 +909,15 @@ class FaultInjectionAlgorithms(abc.ABC):
             names.add(location.space.split(":", 1)[1])
         return sorted(names) or None
 
-    def _experiment_scifi(self, index: int, plan: InjectionPlan) -> ExperimentResult:
-        """One SCIFI experiment — the inner procedure of Figure 2."""
+    def _experiment_stop_and_inject(
+        self, index: int, plan: InjectionPlan
+    ) -> ExperimentResult:
+        """One stop-and-inject experiment — the inner procedure of
+        Figure 2: warm-restore or cold-start, stop at each injection
+        instant and run the technique's inject step (:attr:`INJECT_STEPS`),
+        then probe or run the tail."""
         campaign = self._require_campaign()
-        obs = get_observability()
+        inject = getattr(self, self.INJECT_STEPS[campaign.technique])
         result = self._new_result(index)
         if not self._try_restore(plan):
             self._cold_prefix()
@@ -677,18 +927,24 @@ class FaultInjectionAlgorithms(abc.ABC):
             termination = self.wait_for_breakpoint(action.time)
             if termination is not None:
                 break
-            names = (
-                None
-                if campaign.full_scan_shift
-                else self._action_chain_names(action)
-            )
-            with obs.profile("scan.read"):
-                chains = self.read_scan_chain(names)
-            result.injections.extend(self.inject_fault(chains, action))
-            with obs.profile("scan.write"):
-                self.write_scan_chain(chains)
+            result.injections.extend(inject(action))
         self._finish_tail(result, plan, termination, probing)
         return result
+
+    def _inject_scan(self, action) -> List[Injection]:
+        """SCIFI's inject step: shift the scan chains out, manipulate the
+        image, shift it back in."""
+        campaign = self._require_campaign()
+        obs = get_observability()
+        names = (
+            None if campaign.full_scan_shift else self._action_chain_names(action)
+        )
+        with obs.profile("scan.read"):
+            chains = self.read_scan_chain(names)
+        injections = self.inject_fault(chains, action)
+        with obs.profile("scan.write"):
+            self.write_scan_chain(chains)
+        return injections
 
     def _experiment_swifi_pre(
         self, index: int, plan: InjectionPlan
@@ -732,83 +988,36 @@ class FaultInjectionAlgorithms(abc.ABC):
         self._finish(result, termination)
         return result
 
-    def _experiment_simfi(self, index: int, plan: InjectionPlan) -> ExperimentResult:
-        """One simulation-based FI experiment (MEFISTO-style baseline):
-        direct state access, no scan-chain serialization."""
-        campaign = self._require_campaign()
-        result = self._new_result(index)
-        if not self._try_restore(plan):
-            self._cold_prefix()
-        probing = self._begin_divergence(plan)
-        termination: Optional[Termination] = None
-        for action in plan.sorted_actions():
-            termination = self.wait_for_breakpoint(action.time)
-            if termination is not None:
-                break
-            result.injections.extend(self.inject_fault_direct(action))
-        self._finish_tail(result, plan, termination, probing)
-        return result
-
-    def _experiment_pinlevel(
-        self, index: int, plan: InjectionPlan
-    ) -> ExperimentResult:
-        """One pin-level experiment through boundary scan: stop at the
-        injection instant, arm EXTEST forcing of the selected bus lines,
-        resume — the forced lines corrupt the next read transactions."""
-        campaign = self._require_campaign()
-        result = self._new_result(index)
-        if not self._try_restore(plan):
-            self._cold_prefix()
-        probing = self._begin_divergence(plan)
-        termination: Optional[Termination] = None
-        for action in plan.sorted_actions():
-            termination = self.wait_for_breakpoint(action.time)
-            if termination is not None:
-                break
-            result.injections.extend(self.force_pins(action))
-        self._finish_tail(result, plan, termination, probing)
-        return result
-
     def fault_injector_scifi(self, campaign, sink=None, control=None,
-                             _fixed_plans=None, skip_indices=None):
+                             skip_indices=None):
         """Scan-Chain Implemented Fault Injection — the algorithm of
         Figure 2, step for step."""
-        return self._campaign_loop(campaign, sink, control,
-                                   _fixed_plans=_fixed_plans,
-                                   skip_indices=skip_indices)
+        return self._campaign_loop(campaign, sink, control, skip_indices)
 
     def fault_injector_swifi_pre(self, campaign, sink=None, control=None,
-                                 _fixed_plans=None, skip_indices=None):
+                                 skip_indices=None):
         """Pre-runtime SWIFI: faults are injected into the program and
         data areas of the target before it starts to execute."""
-        return self._campaign_loop(campaign, sink, control,
-                                   _fixed_plans=_fixed_plans,
-                                   skip_indices=skip_indices)
+        return self._campaign_loop(campaign, sink, control, skip_indices)
 
     def fault_injector_swifi_runtime(self, campaign, sink=None, control=None,
-                                     _fixed_plans=None, skip_indices=None):
+                                     skip_indices=None):
         """Runtime SWIFI (Section 4 extension): the workload is
         instrumented with additional software for injecting faults."""
-        return self._campaign_loop(campaign, sink, control,
-                                   _fixed_plans=_fixed_plans,
-                                   skip_indices=skip_indices)
+        return self._campaign_loop(campaign, sink, control, skip_indices)
 
     def fault_injector_simfi(self, campaign, sink=None, control=None,
-                             _fixed_plans=None, skip_indices=None):
+                             skip_indices=None):
         """Simulation-based FI baseline (MEFISTO-style): direct state
         access, no scan-chain serialization."""
-        return self._campaign_loop(campaign, sink, control,
-                                   _fixed_plans=_fixed_plans,
-                                   skip_indices=skip_indices)
+        return self._campaign_loop(campaign, sink, control, skip_indices)
 
     def fault_injector_pinlevel(self, campaign, sink=None, control=None,
-                                _fixed_plans=None, skip_indices=None):
+                                skip_indices=None):
         """Pin-level fault injection through boundary scan: stop at the
         injection instant, arm EXTEST forcing of the selected bus lines,
         resume — the forced lines corrupt the next read transactions."""
-        return self._campaign_loop(campaign, sink, control,
-                                   _fixed_plans=_fixed_plans,
-                                   skip_indices=skip_indices)
+        return self._campaign_loop(campaign, sink, control, skip_indices)
 
     # ------------------------------------------------------------------
     # Reentrant single-experiment building block
@@ -905,9 +1114,9 @@ class FaultInjectionAlgorithms(abc.ABC):
         execution (the equivalence verifier uses it — a verification that
         replays a memo would verify nothing).
 
-        ``plan`` overrides the sampled plan (the re-run mechanism);
-        ``reference`` defaults to the instance's retained reference run
-        from :meth:`prepare_run`."""
+        ``plan`` skips sampling when the caller already holds this
+        index's plan; ``reference`` defaults to the instance's retained
+        reference run from :meth:`prepare_run`."""
         campaign = self._require_campaign()
         if reference is None:
             reference = getattr(self, "_reference", None)
@@ -922,7 +1131,13 @@ class FaultInjectionAlgorithms(abc.ABC):
         memo = self._memo_table() if use_memo else None
         key: Optional[str] = None
         if memo is not None:
-            key = memo_key(self._restore_digest(plan), plan)
+            restore = self._restore_index(plan)
+            key = memo_key(
+                None
+                if restore is None or self._checkpoints is None
+                else self._checkpoints.tick(restore).fingerprint,
+                plan,
+            )
             entry = memo.lookup(key)
             if entry is not None:
                 started = _time.perf_counter()
@@ -1018,30 +1233,11 @@ class FaultInjectionAlgorithms(abc.ABC):
         detail_campaign = campaign.modified(logging_mode=logging_mode)
         parent_name = self.experiment_name(campaign.campaign_name, index)
         sink = sink if sink is not None else _ListSink()
-        self.read_campaign_data(detail_campaign)
-        reference = self.make_reference_run()
+        reference = self.prepare_run(detail_campaign)
         sink.log_reference(detail_campaign, reference)
-        plan = self.plan_experiment(index, reference)
-        runner = {
-            "scifi": self.fault_injector_scifi,
-            "swifi-pre": self.fault_injector_swifi_pre,
-            "swifi-runtime": self.fault_injector_swifi_runtime,
-            "simfi": self.fault_injector_simfi,
-            "pinlevel": self.fault_injector_pinlevel,
-        }
-        # Run just this one experiment through the technique's inner
-        # experiment procedure by making a single-experiment campaign and
-        # reusing the substream of the original index so the same fault is
-        # injected.
-        single = detail_campaign.modified(n_experiments=1)
-        outer = runner[single.technique]
-        results = outer(
-            single,
-            sink=_ListSink(),
-            control=None,
-            _fixed_plans={0: plan},
-        )
-        result = results.results[0]
+        # The index-keyed substream redraws the original experiment's
+        # plan, so the re-run injects the same fault.
+        result = self.run_single_experiment(index, reference=reference)
         result.name = f"{parent_name}-rerun"
         result.parent_experiment = parent_name
         sink.log_experiment(detail_campaign, result)
@@ -1169,7 +1365,7 @@ class FaultInjectionAlgorithms(abc.ABC):
         """The campaign-scoped outcome memo, or None when memoization
         does not apply (disabled, or detail mode — a replayed outcome
         has no per-instruction states to drain)."""
-        if not self.memoize:
+        if not self.early_exit:
             return None
         campaign = self._require_campaign()
         if campaign.logging_mode == "detail":
@@ -1178,30 +1374,7 @@ class FaultInjectionAlgorithms(abc.ABC):
             self._memo = OutcomeMemo()
         return self._memo
 
-    def _restore_digest(self, plan: InjectionPlan) -> Optional[str]:
-        """Fingerprint of the checkpoint this plan's experiment would
-        warm-restore, or None (= the cold sentinel) when the experiment
-        starts from reset — mirroring :meth:`_try_restore`'s eligibility
-        exactly, so the memo key names the true starting state."""
-        campaign = self._require_campaign()
-        store = self._checkpoints
-        if store is None or len(store) == 0:
-            return None
-        if not campaign.warm_start:
-            return None
-        if campaign.technique not in WARM_START_TECHNIQUES:
-            return None
-        actions = plan.sorted_actions()
-        if not actions:
-            return None
-        index = store.nearest_before(actions[0].time)
-        if index is None:
-            return None
-        return store.tick(index).fingerprint
-
-    def _campaign_loop(self, campaign, sink, control,
-                       _fixed_plans: Optional[dict] = None,
-                       skip_indices=None):
+    def _campaign_loop(self, campaign, sink, control, skip_indices=None):
         sink = sink if sink is not None else _ListSink()
         control = control if control is not None else _NullControl()
         skip = frozenset(skip_indices or ())
@@ -1215,194 +1388,29 @@ class FaultInjectionAlgorithms(abc.ABC):
         ):
             reference = self.prepare_run(campaign)
             sink.log_reference(campaign, reference)
-            plans: Optional[Dict[int, InjectionPlan]] = None
-            derived_of: Dict[int, int] = {}
-            # Representative results retained only while derived members
-            # of their class are still pending (bounded memory).
-            rep_results: Dict[int, ExperimentResult] = {}
-            pending: Dict[int, int] = {}
-            if self._collapse_enabled(campaign):
-                plans = {}
-                for index in range(campaign.n_experiments):
-                    if index in skip:
-                        continue
-                    fixed = (
-                        _fixed_plans.get(index)
-                        if _fixed_plans is not None
-                        else None
-                    )
-                    plans[index] = (
-                        fixed
-                        if fixed is not None
-                        else self.plan_experiment(index, reference)
-                    )
-                partition = self._equivalence.partition(plans)
-                self._record_partition_metrics(partition)
-                derived_of = partition.derived_map()
-                for rep in derived_of.values():
-                    pending[rep] = pending.get(rep, 0) + 1
-            for index in range(campaign.n_experiments):
-                if index in skip:
-                    continue
+            schedule = ExperimentSchedule(
+                self,
+                reference,
+                (i for i in range(campaign.n_experiments) if i not in skip),
+            )
+            for index in schedule.order:
                 try:
                     control.checkpoint(index)
                 except StopCampaign:
                     break
-                rep = derived_of.get(index)
-                if rep is not None and rep in rep_results:
-                    assert plans is not None
-                    result = self._derive_result(
-                        index, plans[index], rep_results[rep]
+                if schedule.executes(index):
+                    schedule.accept(
+                        index,
+                        self.run_single_experiment(
+                            index,
+                            plan=schedule.plans.get(index),
+                            reference=reference,
+                            use_memo=not schedule.verifies(index),
+                        ),
                     )
-                    if self._should_verify(index):
-                        self._verify_derived(
-                            index, plans[index], result, reference
-                        )
-                    pending[rep] -= 1
-                    if pending[rep] == 0:
-                        del rep_results[rep]
-                else:
-                    # Representatives, singletons, and members whose
-                    # representative did not run (resumed campaigns can
-                    # skip it) execute for real.
-                    if plans is not None:
-                        plan: Optional[InjectionPlan] = plans[index]
-                    elif _fixed_plans is not None:
-                        plan = _fixed_plans.get(index)
-                    else:
-                        plan = None
-                    result = self.run_single_experiment(
-                        index, plan=plan, reference=reference
-                    )
-                    if pending.get(index):
-                        rep_results[index] = result
+                result = schedule.row(index)
+                assert result is not None
                 sink.log_experiment(campaign, result)
                 control.report(index, result)
         obs.flush()
         return sink
-
-    # ------------------------------------------------------------------
-    # Equivalence collapsing (preinjection_mode="equivalence")
-    # ------------------------------------------------------------------
-
-    def _collapse_enabled(self, campaign: CampaignData) -> bool:
-        """May this campaign's experiments be collapsed?
-
-        Detail mode is excluded: per-instruction state logs differ
-        *inside* an unobserved def-use region (the flipped bit shows up
-        in detail states before anything architectural reads it), so
-        only terminal outcomes — not detail logs — are class-invariant.
-        """
-        return (
-            self._equivalence is not None
-            and campaign.technique in EQUIVALENCE_TECHNIQUES
-            and campaign.logging_mode != "detail"
-        )
-
-    def _record_partition_metrics(self, partition) -> None:
-        stats = partition.stats()
-        metrics = get_observability().metrics
-        if metrics.enabled:
-            metrics.counter("equivalence.classes").inc(stats.n_classes)
-            metrics.counter("equivalence.executed").inc(stats.n_executed)
-            metrics.counter("equivalence.collapsed").inc(stats.n_derived)
-
-    def _derive_result(
-        self,
-        index: int,
-        plan: InjectionPlan,
-        rep_result: ExperimentResult,
-    ) -> ExperimentResult:
-        """Statically-derived outcome of a non-representative member.
-
-        Everything observable at termination is copied from the executed
-        representative — that is the equivalence theorem. The injection
-        record keeps the *member's* own injection time (the flipped
-        value is class-invariant: no write to the location happens
-        between the two injection instants).
-        """
-        result = self._new_result(index)
-        result.derived_from = rep_result.name
-        times = [action.time for action in plan.sorted_actions()]
-        for i, injection in enumerate(rep_result.injections):
-            result.injections.append(
-                Injection(
-                    time=times[i] if i < len(times) else injection.time,
-                    location=injection.location,
-                    op=injection.op,
-                    bit_before=injection.bit_before,
-                    bit_after=injection.bit_after,
-                )
-            )
-        assert rep_result.termination is not None
-        result.termination = Termination.from_dict(
-            rep_result.termination.to_dict()
-        )
-        result.outputs = dict(rep_result.outputs)
-        result.state_vector = dict(rep_result.state_vector)
-        result.wall_seconds = 0.0
-        return result
-
-    def _should_verify(self, index: int) -> bool:
-        fraction = self.verify_equivalence
-        if fraction <= 0.0:
-            return False
-        if fraction >= 1.0:
-            return True
-        campaign = self._require_campaign()
-        # Index-keyed stream, disjoint from the planning substreams.
-        return (
-            random.Random(f"{campaign.seed}:verify:{index}").random()
-            < fraction
-        )
-
-    def _verify_derived(
-        self,
-        index: int,
-        plan: InjectionPlan,
-        derived: ExperimentResult,
-        reference: ReferenceRun,
-    ) -> None:
-        """Force-execute a derived member and hard-fail on divergence.
-        The memo is bypassed: replaying a memoized outcome would compare
-        a copy against a copy and verify nothing."""
-        actual = self.run_single_experiment(
-            index, plan=plan, reference=reference, use_memo=False
-        )
-        self.check_derived_outcome(index, actual, derived)
-
-    def check_derived_outcome(
-        self,
-        index: int,
-        actual: ExperimentResult,
-        derived: ExperimentResult,
-    ) -> None:
-        """Compare a real execution against its static derivation and
-        hard-fail the campaign on any divergence (the ``--verify-
-        equivalence`` contract; also used by the parallel runner, which
-        executes verify members on workers)."""
-        mismatches = []
-        if [i.to_dict() for i in actual.injections] != [
-            i.to_dict() for i in derived.injections
-        ]:
-            mismatches.append("injections")
-        actual_term = actual.termination.to_dict() if actual.termination else None
-        derived_term = (
-            derived.termination.to_dict() if derived.termination else None
-        )
-        if actual_term != derived_term:
-            mismatches.append("termination")
-        if actual.outputs != derived.outputs:
-            mismatches.append("outputs")
-        if actual.state_vector != derived.state_vector:
-            mismatches.append("state_vector")
-        if mismatches:
-            raise CampaignError(
-                f"equivalence verification failed for experiment {index} "
-                f"(derived from {derived.derived_from}): "
-                f"{', '.join(mismatches)} diverged — the static "
-                "equivalence certificate is unsound for this class"
-            )
-        metrics = get_observability().metrics
-        if metrics.enabled:
-            metrics.counter("equivalence.verified").inc()

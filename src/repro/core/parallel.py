@@ -45,6 +45,7 @@ from multiprocessing import connection as _mpc
 from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.algorithms import (
+    ExperimentSchedule,
     FaultInjectionAlgorithms,
     StopCampaign,
     _ListSink,
@@ -186,11 +187,13 @@ def _worker_main(
 
     Builds an isolated port via ``factory``, binds the campaign, performs
     its own reference run (announced as a determinism fingerprint), then
-    serves ``("run", [indices])`` / ``("run", [indices], memo_rows)``
-    task messages until ``("quit",)``. ``port_options`` are plain
+    serves ``("run", [indices], memo_rows, verify)`` task messages until
+    ``("quit",)``. The indices in ``verify`` are equivalence
+    verifications and run with the memo bypassed: a verification that
+    replays a memo would verify nothing. ``port_options`` are plain
     attribute overrides applied to the fresh port before the campaign
-    binds (``early_exit``/``memoize`` — the knobs that live on the
-    instance rather than in CampaignData).
+    binds (``early_exit`` — a knob that lives on the instance rather
+    than in CampaignData).
 
     With observability enabled, the worker installs its *own* fresh
     instrumentation (a ``.workerN`` sibling trace file, an empty metrics
@@ -217,9 +220,15 @@ def _worker_main(
             memo = port._memo_table()
             if memo is not None and len(message) > 2 and message[2]:
                 memo.merge(message[2])
+            verify = set(message[3]) if len(message) > 3 else set()
             for index in message[1]:
                 try:
-                    result = port.run_single_experiment(index)
+                    if index in verify:
+                        result = port.run_single_experiment(
+                            index, use_memo=False
+                        )
+                    else:
+                        result = port.run_single_experiment(index)
                     conn.send(("result", index, result))
                 except Exception as exc:  # reported upstream as an error
                     conn.send(
@@ -293,10 +302,11 @@ class WorkerHandle:
         indices: Sequence[int],
         timeout: Optional[float],
         memo_rows: Optional[List[Dict[str, Any]]] = None,
+        verify: Sequence[int] = (),
     ) -> None:
         self.busy = True
         self.shard = deque(indices)
-        self.conn.send(("run", list(indices), memo_rows or []))
+        self.conn.send(("run", list(indices), memo_rows or [], list(verify)))
         self.touch(timeout)
 
     def touch(self, timeout: Optional[float]) -> None:
@@ -393,6 +403,10 @@ _WorkerHandle = LocalWorkerHandle
 class _ParallelRun:
     """One parallel campaign execution (the parent event loop)."""
 
+    #: Which indices execute and which row each logs (built once the
+    #: parent's reference run exists).
+    schedule: ExperimentSchedule
+
     def __init__(
         self,
         campaign: CampaignData,
@@ -414,30 +428,12 @@ class _ParallelRun:
         self.order: List[int] = [
             i for i in range(campaign.n_experiments) if i not in skip
         ]
-        #: Dispatch queue of *units*: lists of indices that must land in
-        #: the same shard. Without equivalence collapsing every unit is a
-        #: single index; with it, a unit is one equivalence class's
-        #: executed members (representative + verify-sampled members), so
-        #: a class never spans shards.
-        self.queue: Deque[List[int]] = deque([i] for i in self.order)
+        #: Dispatch queue of the schedule's execution units: lists of
+        #: indices that must land in the same shard, so an equivalence
+        #: class never spans shards.
+        self.queue: Deque[List[int]] = deque()
         self.retry_queue: Deque[int] = deque()
         self.retries: Dict[int, int] = {}
-        self.completed: Dict[int, ExperimentResult] = {}
-        # -- equivalence collapsing (preinjection_mode="equivalence") --
-        #: Parent port retained for plan/derive/verify helpers.
-        self.port: Optional[FaultInjectionAlgorithms] = None
-        #: index -> InjectionPlan for every index in ``order``.
-        self.plans: Optional[Dict[int, Any]] = None
-        #: representative index -> its derived member indices.
-        self._class_derived: Dict[int, List[int]] = {}
-        #: verify-sampled member index -> its representative index.
-        self._verify_members: Dict[int, int] = {}
-        #: verify member -> synthesized derived result (awaiting compare).
-        self._derived_results: Dict[int, ExperimentResult] = {}
-        #: verify member -> real result that arrived before its rep's.
-        self._verify_actual: Dict[int, ExperimentResult] = {}
-        #: representatives that terminally failed (members re-queued).
-        self._failed_reps: Set[int] = set()
         self.reported = 0
         self.batch: List[ExperimentResult] = []
         self.workers: List[WorkerHandle] = []
@@ -533,7 +529,9 @@ class _ParallelRun:
         # Serialise *after* prepare_run: campaign binding resolves
         # trigger addresses and iteration limits that workers must share.
         self.campaign_json = self.campaign.to_json()
-        self._prepare_equivalence(parent_port, reference)
+        parent_port.verify_equivalence = self.config.verify_equivalence
+        self.schedule = ExperimentSchedule(parent_port, reference, self.order)
+        self.queue = deque(self.schedule.units())
         if not self.order:
             return
         n_workers = min(self.config.n_workers, len(self.order))
@@ -555,116 +553,6 @@ class _ParallelRun:
             self._flush_ordered(final=True)
             self._shutdown()
 
-    def _prepare_equivalence(
-        self, parent_port: FaultInjectionAlgorithms, reference: Any
-    ) -> None:
-        """Partition the fault list and rebuild the dispatch queue as
-        class units.
-
-        The parent plans every experiment (index-keyed substreams: the
-        workers re-derive identical plans), partitions the plans, and
-        enqueues one unit per class holding only the indices that must
-        *execute* — the representative plus any verify-sampled members.
-        The remaining members' results are synthesized in the parent as
-        each representative's result arrives."""
-        self.port = parent_port
-        parent_port.verify_equivalence = self.config.verify_equivalence
-        parent_port.early_exit = self.config.early_exit
-        parent_port.memoize = self.config.early_exit
-        if not parent_port._collapse_enabled(self.campaign):
-            return
-        equivalence = parent_port._equivalence
-        plans = {
-            index: parent_port.plan_experiment(index, reference)
-            for index in self.order
-        }
-        partition = equivalence.partition(plans)
-        parent_port._record_partition_metrics(partition)
-        self.plans = plans
-        units: List[List[int]] = []
-        for cls in partition.classes:
-            unit = [cls.representative]
-            derived_members: List[int] = []
-            for member in cls.members[1:]:
-                derived_members.append(member)
-                if parent_port._should_verify(member):
-                    self._verify_members[member] = cls.representative
-                    unit.append(member)
-            if derived_members:
-                self._class_derived[cls.representative] = derived_members
-            units.append(unit)
-        self.queue = deque(units)
-
-    def _accept_result(self, index: int, result: ExperimentResult) -> None:
-        """Fold one worker result into ``completed``, synthesizing and
-        verifying derived class members as needed."""
-        rep = self._verify_members.get(index)
-        if rep is not None:
-            if rep in self._failed_reps:
-                # No derivation exists to compare against: the real
-                # execution simply becomes the logged result.
-                self.completed[index] = result
-                return
-            derived = self._derived_results.pop(index, None)
-            if derived is None:
-                # Representative result not in yet (a retry reordered
-                # the shard) — park the real result until it is.
-                self._verify_actual[index] = result
-                return
-            self._check_verified(index, result, derived)
-            self.completed[index] = derived
-            return
-        self.completed[index] = result
-        if index in self._class_derived:
-            self._synthesize_class(index, result)
-
-    def _synthesize_class(
-        self, rep: int, rep_result: ExperimentResult
-    ) -> None:
-        assert self.port is not None and self.plans is not None
-        for member in self._class_derived.get(rep, []):
-            derived = self.port._derive_result(
-                member, self.plans[member], rep_result
-            )
-            if member in self._verify_members:
-                actual = self._verify_actual.pop(member, None)
-                if actual is not None:
-                    self._check_verified(member, actual, derived)
-                    self.completed[member] = derived
-                elif member not in self.completed:
-                    self._derived_results[member] = derived
-                # A member already in completed terminally failed its
-                # real execution; the failure placeholder stands.
-            else:
-                self.completed[member] = derived
-
-    def _check_verified(
-        self,
-        index: int,
-        actual: ExperimentResult,
-        derived: ExperimentResult,
-    ) -> None:
-        assert self.port is not None
-        self.port.check_derived_outcome(index, actual, derived)
-
-    def _handle_rep_failure(self, rep: int) -> None:
-        """A class representative exhausted its retries: its members can
-        no longer be derived, so every remaining member re-queues as its
-        own singleton unit and executes for real."""
-        members = self._class_derived.pop(rep, None)
-        if members is None:
-            return
-        self._failed_reps.add(rep)
-        for member in members:
-            if member in self._verify_members:
-                # Already dispatched for real execution in the class
-                # unit; its result now simply gets logged directly.
-                actual = self._verify_actual.pop(member, None)
-                if actual is not None:
-                    self.completed[member] = actual
-            else:
-                self.queue.append([member])
-
     def _spawn_worker(self, context: Any) -> WorkerHandle:
         worker_id = self._next_worker_id
         self._next_worker_id += 1
@@ -677,10 +565,7 @@ class _ParallelRun:
             worker_id=worker_id,
             obs_config=self.obs_config,
             golden=self.golden,
-            port_options={
-                "early_exit": self.config.early_exit,
-                "memoize": self.config.early_exit,
-            },
+            port_options={"early_exit": self.config.early_exit},
         )
 
     # -- event loop --------------------------------------------------------
@@ -751,6 +636,7 @@ class _ParallelRun:
                 shard,
                 self.config.timeout_seconds,
                 memo_rows=self._memo_rows_for(worker),
+                verify=[i for i in shard if self.schedule.verifies(i)],
             )
 
     def _memo_rows_for(
@@ -819,7 +705,7 @@ class _ParallelRun:
             index, result = message[1], message[2]
             self._discard_from_shard(worker, index)
             worker.touch(self.config.timeout_seconds)
-            self._accept_result(index, result)
+            self.schedule.accept(index, result)
         elif kind == "error":
             index, reason = message[1], message[2]
             self._discard_from_shard(worker, index)
@@ -922,11 +808,14 @@ class _ParallelRun:
                 detail=reason,
                 attempts=attempts + 1,
             )
-        self.completed[index] = self._failure_result(index, reason, attempts)
-        # A failed verify member cannot be compared; its failure
-        # placeholder is logged and the parked derivation dropped.
-        self._derived_results.pop(index, None)
-        self._handle_rep_failure(index)
+        # A failed representative's members run for real instead, each
+        # as its own unit.
+        self.queue.extend(
+            [member]
+            for member in self.schedule.fail(
+                index, self._failure_result(index, reason, attempts)
+            )
+        )
 
     def _failure_result(
         self, index: int, reason: str, attempts: int
@@ -949,12 +838,11 @@ class _ParallelRun:
     # -- ordered reporting and batched sink flushes ------------------------
 
     def _flush_ordered(self, final: bool = False) -> None:
-        while (
-            self.reported < len(self.order)
-            and self.order[self.reported] in self.completed
-        ):
+        while self.reported < len(self.order):
             index = self.order[self.reported]
-            result = self.completed.pop(index)
+            result = self.schedule.row(index)
+            if result is None:
+                break
             self.batch.append(result)
             if len(self.batch) >= self.config.batch_size:
                 self._flush_batch()
@@ -968,15 +856,18 @@ class _ParallelRun:
                     termination.kind if termination is not None else None
                 )
         if final:
-            # A stop may leave non-contiguous completed results (later
-            # indices finished while an earlier one was still running);
-            # log them too so a resume can skip them.
-            for index in sorted(self.completed):
-                result = self.completed.pop(index)
-                self.batch.append(result)
-                self.reported += 1
-                self.control.report(index, result)
-            self._flush_batch()
+            # A stop may leave non-contiguous ready rows (later indices
+            # finished while an earlier one was still running); log them
+            # too so a resume can skip them.
+            try:
+                for index in self.order[self.reported:]:
+                    result = self.schedule.row(index)
+                    if result is not None:
+                        self.batch.append(result)
+                        self.reported += 1
+                        self.control.report(index, result)
+            finally:
+                self._flush_batch()
 
     def _flush_batch(self) -> None:
         if not self.batch:
@@ -1005,7 +896,7 @@ class _ParallelRun:
                     break
                 if message[0] in ("result", "error", "done"):
                     if message[0] == "result":
-                        self._accept_result(message[1], message[2])
+                        self.schedule.accept(message[1], message[2])
                     self._discard_from_shard(
                         worker, message[1] if len(message) > 1 else -1
                     )

@@ -411,7 +411,6 @@ def _cmd_run(args) -> int:
             target.verify_equivalence = verify
             if getattr(args, "no_early_exit", False):
                 target.early_exit = False
-                target.memoize = False
             controller = CampaignController(target, sink=db)
             window = ProgressWindow(
                 controller, stream=None if args.quiet else sys.stdout

@@ -238,6 +238,26 @@ class TestRerunProvenance:
             i.time for i in original.injections
         ]
 
+    def test_rerun_does_one_reference_run(self, thor_target):
+        campaign = make_campaign(n_experiments=3)
+        thor_target.run_campaign(campaign)
+        calls = []
+        make_reference_run = thor_target.make_reference_run
+
+        def spy():
+            calls.append(thor_target.campaign.logging_mode)
+            return make_reference_run()
+
+        thor_target.make_reference_run = spy
+        thor_target.rerun_experiment(campaign, 1)
+        thor_target.rerun_experiment(campaign, 2)
+        assert calls == ["detail", "detail"]
+
+    def test_rerun_records_original_index(self, thor_target):
+        campaign = make_campaign(n_experiments=3)
+        thor_target.run_campaign(campaign)
+        assert thor_target.rerun_experiment(campaign, 2).index == 2
+
 
 class TestTechniqueTables:
     def test_technique_methods_cover_all(self):

@@ -202,7 +202,6 @@ class TestDivergenceWindow:
         def leg(early):
             target = create_target("thor-rd")
             target.early_exit = early
-            target.memoize = early
             campaign = _late_trigger_campaign("div-leg", duration)
             return _rows(target.run_campaign(campaign))
 
@@ -235,7 +234,6 @@ class TestDivergenceWindow:
         try:
             target = create_target("thor-rd")
             target.early_exit = False
-            target.memoize = False
             target.run_campaign(campaign)
             counters = get_observability().metrics.snapshot()["counters"]
         finally:
@@ -391,7 +389,6 @@ class TestWarmRestoreBoundary:
             target = create_target("thor-rd")
             if not warm:
                 target.early_exit = False
-                target.memoize = False
             sink = target.run_campaign(
                 campaign.modified(warm_start=warm)
             )

@@ -13,6 +13,7 @@ import dataclasses
 import pytest
 
 from repro.core import CampaignController, create_target
+from repro.core.algorithms import ExperimentSchedule
 from repro.db import GoofiDatabase
 from repro.util.errors import CampaignError
 from tests.conftest import make_campaign
@@ -114,36 +115,80 @@ class TestSerialCollapse:
         assert all(r.derived_from is None for r in sink.results)
 
 
+def _stop_after(controller, n_done):
+    controller.add_listener(
+        lambda progress: controller.stop()
+        if progress.n_done == n_done
+        else None
+    )
+
+
+class TestStopAndResume:
+    def test_resumed_rows_match_static_run(self):
+        """A stop between a representative and its derived member leaves
+        the member to the resumed run, which partitions only the indices
+        still to run."""
+        from repro.core.parallel import canonical_experiment_rows
+
+        campaign = equivalence_campaign()
+        full = create_target("thor-rd").run_campaign(campaign).results
+        assert any(
+            r.index >= 7 and int(r.derived_from[-5:]) < 7
+            for r in full
+            if r.derived_from is not None
+        ), "no class spans the stop"
+        with GoofiDatabase(":memory:") as static_db, GoofiDatabase(
+            ":memory:"
+        ) as db:
+            create_target("thor-rd").run_campaign(
+                equivalence_campaign(preinjection_mode="static"),
+                sink=static_db,
+            )
+            controller = CampaignController(create_target("thor-rd"), sink=db)
+            _stop_after(controller, 7)
+            controller.run(campaign)
+            assert controller.progress.state == "stopped"
+            assert db.count_experiments(campaign.campaign_name) == 7
+            CampaignController(create_target("thor-rd"), sink=db).run(
+                campaign, resume=True
+            )
+            assert canonical_experiment_rows(
+                db, campaign.campaign_name
+            ) == canonical_experiment_rows(static_db, campaign.campaign_name)
+
+
 class TestVerificationContract:
-    def _two_results(self):
+    def _derived(self):
         campaign = equivalence_campaign(n_experiments=8)
-        target = create_target("thor-rd")
-        sink = target.run_campaign(campaign)
-        derived = next(
-            r for r in sink.results if r.derived_from is not None
-        )
-        return target, derived
+        sink = create_target("thor-rd").run_campaign(campaign)
+        return next(r for r in sink.results if r.derived_from is not None)
 
     def test_identical_results_accepted(self):
-        target, derived = self._two_results()
-        target.check_derived_outcome(derived.index, derived, derived)
+        derived = self._derived()
+        ExperimentSchedule.check_derived_outcome(
+            derived.index, derived, derived
+        )
 
     def test_output_divergence_raises(self):
-        target, derived = self._two_results()
+        derived = self._derived()
         actual = dataclasses.replace(derived)
         actual.outputs = dict(derived.outputs)
         actual.outputs["corrupted"] = 1
         with pytest.raises(CampaignError, match="outputs"):
-            target.check_derived_outcome(derived.index, actual, derived)
+            ExperimentSchedule.check_derived_outcome(
+                derived.index, actual, derived
+            )
 
     def test_state_vector_divergence_raises(self):
-        target, derived = self._two_results()
+        derived = self._derived()
         actual = dataclasses.replace(derived)
         actual.state_vector = dict(derived.state_vector)
         next_key = sorted(actual.state_vector)[0]
         actual.state_vector[next_key] = b"\x00"
         with pytest.raises(CampaignError, match="state_vector"):
-            target.check_derived_outcome(derived.index, actual, derived)
+            ExperimentSchedule.check_derived_outcome(
+                derived.index, actual, derived
+            )
 
 
 class TestAccounting:

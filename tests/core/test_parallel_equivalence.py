@@ -1,23 +1,35 @@
 """Parallel execution of equivalence-collapsed campaigns.
 
-The parallel engine partitions up front in the parent, dispatches only
+The parallel engine drives the same :class:`ExperimentSchedule` as the
+serial loop: the parent partitions up front, dispatches only
 representatives/singletons (plus verify-sampled members) to workers as
-unsplittable units, and synthesizes derived members' results in the
-parent when their representative's result arrives. These tests pin
-serial/parallel equality and the class-aware sharding contract.
+unsplittable units, and derives members' rows in the parent as they are
+logged. These tests pin serial/parallel equality, the class-aware
+sharding contract, and the schedule's edge paths (stop and resume, a
+representative that never produces a result, memo-free verification).
 """
 
 import dataclasses
 import multiprocessing
+import os
 
 import pytest
 
-from repro.core import ParallelConfig, create_target, worker_factory
+from repro.core import (
+    ParallelCampaignController,
+    ParallelConfig,
+    TriggerSpec,
+    create_target,
+    worker_factory,
+)
+from repro.core.framework import register_target, unregister_target
 from repro.core.parallel import (
     canonical_experiment_rows,
     run_parallel_campaign,
 )
 from repro.db import GoofiDatabase
+from repro.observability import configure, disable, get_observability
+from repro.scifi.interface import ThorRDInterface
 from repro.util.errors import CampaignError
 from tests.conftest import make_campaign
 
@@ -48,6 +60,37 @@ def _config(**overrides):
     defaults = dict(n_workers=2, start_method="fork", shard_size=3)
     defaults.update(overrides)
     return ParallelConfig(**defaults)
+
+
+#: Environment variable naming the index :class:`LostIndexPort` can
+#: never run (the environment travels to the workers with the fork).
+_LOST_INDEX_ENV = "GOOFI_TEST_LOST_INDEX"
+
+
+class LostIndexPort(ThorRDInterface):
+    """A port whose every execution of one experiment raises."""
+
+    def run_single_experiment(self, index, *args, **kwargs):
+        if str(index) == os.environ.get(_LOST_INDEX_ENV):
+            raise RuntimeError("experiment lost")
+        return super().run_single_experiment(index, *args, **kwargs)
+
+
+@pytest.fixture
+def lost_index_target():
+    register_target("thor-rd-lost")(LostIndexPort)
+    yield
+    unregister_target("thor-rd-lost")
+
+
+def _canonical(results):
+    rows = {}
+    for result in results:
+        data = dataclasses.asdict(result)
+        data["wall_seconds"] = 0.0
+        data["derived_from"] = None
+        rows[result.index] = data
+    return rows
 
 
 class TestParallelCollapse:
@@ -122,3 +165,106 @@ class TestConfigValidation:
     def test_boundary_fractions_accepted(self):
         _config(verify_equivalence=0.0).validate()
         _config(verify_equivalence=1.0).validate()
+
+
+class TestScheduleEdgePaths:
+    def test_stop_and_resume_matches_static_run(self):
+        campaign = equivalence_campaign()
+        with GoofiDatabase(":memory:") as static_db, GoofiDatabase(
+            ":memory:"
+        ) as db:
+            create_target("thor-rd").run_campaign(
+                equivalence_campaign(preinjection_mode="static"),
+                sink=static_db,
+            )
+            controller = ParallelCampaignController(
+                worker_factory("thor-rd"), sink=db, config=_config()
+            )
+            controller.add_listener(
+                lambda progress: controller.stop()
+                if progress.n_done == 7
+                else None
+            )
+            controller.run(campaign)
+            assert controller.progress.state == "stopped"
+            assert db.count_experiments(campaign.campaign_name) < 20
+            ParallelCampaignController(
+                worker_factory("thor-rd"), sink=db, config=_config()
+            ).run(campaign, resume=True)
+            assert canonical_experiment_rows(
+                db, campaign.campaign_name
+            ) == canonical_experiment_rows(static_db, campaign.campaign_name)
+
+    @pytest.mark.parametrize("verify", [0.0, 1.0])
+    @pytest.mark.usefixtures("lost_index_target")
+    def test_failed_representative_members_execute(self, monkeypatch, verify):
+        campaign = equivalence_campaign(n_experiments=40)
+        target = create_target("thor-rd")
+        reference = target.prepare_run(campaign)
+        plans = {
+            i: target.plan_experiment(i, reference)
+            for i in range(campaign.n_experiments)
+        }
+        cls = max(
+            target._equivalence.partition(plans).classes,
+            key=lambda c: len(c.members),
+        )
+        assert len(cls.members) > 1
+        monkeypatch.setenv(_LOST_INDEX_ENV, str(cls.representative))
+        sink = run_parallel_campaign(
+            campaign,
+            worker_factory("thor-rd-lost"),
+            config=_config(max_retries=0, verify_equivalence=verify),
+        )
+        results = {r.index: r for r in sink.results}
+        assert sorted(results) == list(range(campaign.n_experiments))
+        assert results[cls.representative].termination.kind == "worker-failure"
+        failed = {
+            r.name
+            for r in sink.results
+            if r.termination.kind == "worker-failure"
+        }
+        assert not [r for r in sink.results if r.derived_from in failed]
+        static = create_target("thor-rd").run_campaign(
+            campaign.modified(preinjection_mode="static")
+        )
+        expected = _canonical(static.results)
+        actual = _canonical(sink.results)
+        for member in cls.members[1:]:
+            assert results[member].derived_from is None
+            assert actual[member] == expected[member]
+
+    def test_verify_runs_bypass_the_memo(self):
+        """Duplicate plans fall into one class, so a verified member's
+        plan equals its representative's; replaying the representative's
+        memo entry would compare a copy against itself."""
+        duration = create_target("thor-rd").prepare_run(
+            equivalence_campaign()
+        ).duration_cycles
+        campaign = equivalence_campaign(
+            campaign_name="equiv-verify-memo",
+            use_preinjection=False,
+            location_patterns=["scan:internal/cpu.regfile.r5"],
+            trigger=TriggerSpec(kind="time-fixed", time=duration // 3),
+            n_experiments=16,
+        )
+        configure(metrics=True)
+        try:
+            run_parallel_campaign(
+                campaign,
+                worker_factory("thor-rd"),
+                config=_config(verify_equivalence=1.0),
+            )
+            counters = get_observability().metrics.snapshot()["counters"]
+        finally:
+            disable()
+        assert counters.get("equivalence.collapsed", 0) > 0
+        assert counters.get("equivalence.verified", 0) == counters.get(
+            "equivalence.collapsed", 0
+        )
+        memo_hits = sum(
+            value
+            for name, value in counters.items()
+            if name.endswith("divergence.memo_hits")
+        )
+        assert memo_hits == 0
