@@ -18,8 +18,10 @@ patterns over ``space/path`` (e.g. ``scan:internal/cpu.regfile.*``).
 from __future__ import annotations
 
 import fnmatch
+import functools
+import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.util.errors import ConfigurationError
 
@@ -63,6 +65,15 @@ class LocationCell:
         return f"{self.space}/{self.path}"
 
 
+@functools.lru_cache(maxsize=256)
+def _glob_matcher(patterns: Tuple[str, ...]) -> Callable[[str], object]:
+    """One compiled regex matching any of the glob ``patterns`` with
+    :func:`fnmatch.fnmatchcase` semantics."""
+    return re.compile(
+        "|".join(f"(?:{fnmatch.translate(pattern)})" for pattern in patterns)
+    ).match
+
+
 class LocationSpace:
     """All injectable state of one target, with pattern-based selection."""
 
@@ -70,9 +81,12 @@ class LocationSpace:
         self._cells: List[LocationCell] = list(cells)
         self._by_path: Dict[str, LocationCell] = {}
         for cell in self._cells:
-            if cell.full_path in self._by_path:
-                raise ConfigurationError(f"duplicate cell {cell.full_path!r}")
-            self._by_path[cell.full_path] = cell
+            full_path = cell.full_path
+            if full_path in self._by_path:
+                raise ConfigurationError(f"duplicate cell {full_path!r}")
+            self._by_path[full_path] = cell
+        # Unique by construction, in cell order.
+        self._full_paths: List[str] = list(self._by_path)
 
     def cells(self) -> List[LocationCell]:
         return list(self._cells)
@@ -94,18 +108,14 @@ class LocationSpace:
         self, patterns: Sequence[str], writable_only: bool = True
     ) -> List[LocationCell]:
         """Cells matching any ``space/path`` glob pattern, in space order."""
-        selected: List[LocationCell] = []
-        seen = set()
-        for cell in self._cells:
-            if writable_only and cell.read_only:
-                continue
-            for pattern in patterns:
-                if fnmatch.fnmatchcase(cell.full_path, pattern):
-                    if cell.full_path not in seen:
-                        seen.add(cell.full_path)
-                        selected.append(cell)
-                    break
-        return selected
+        if not patterns:
+            return []
+        match = _glob_matcher(tuple(patterns))
+        return [
+            cell
+            for cell, full_path in zip(self._cells, self._full_paths)
+            if not (writable_only and cell.read_only) and match(full_path)
+        ]
 
     def expand(
         self, patterns: Sequence[str], writable_only: bool = True
@@ -138,6 +148,87 @@ class LocationSpace:
 
     def tree(self) -> "LocationTree":
         return LocationTree.from_cells(self._cells)
+
+
+#: Path of a ``swreg`` (software-visible register) cell.
+SWREG_PATH_RE = re.compile(r"^cpu\.regfile\.r(\d+)$")
+
+#: ``(state-vector key, position in the chain's read_values, reader)``
+ObservedScanCell = Tuple[str, int, Callable[[], int]]
+
+
+@dataclass(frozen=True)
+class ObservationPlan:
+    """A campaign's observed cells, resolved once to how they are read.
+
+    Scan cells are grouped by chain, each with its position in
+    :meth:`~repro.thor.scanchain.ScanChain.read_values` order and its
+    direct reader; memory cells carry their decoded word address and
+    ``swreg`` cells their register index. :meth:`capture` is then a walk
+    over plain tuples, with no path parsing per observation. Grouping
+    keeps the cells' space order, because a location space lists each
+    chain's cells, then memory, then registers, contiguously."""
+
+    chains: Tuple[Tuple[str, Tuple[ObservedScanCell, ...]], ...] = ()
+    memory: Tuple[Tuple[str, int], ...] = ()
+    registers: Tuple[Tuple[str, int], ...] = ()
+
+    @staticmethod
+    def build(cells: Sequence[LocationCell], chains) -> "ObservationPlan":
+        """Resolve ``cells`` against ``chains`` (chain name ->
+        :class:`~repro.thor.scanchain.ScanChain`) with dict lookups only."""
+        by_chain: Dict[str, List[ObservedScanCell]] = {}
+        memory: List[Tuple[str, int]] = []
+        registers: List[Tuple[str, int]] = []
+        for cell in cells:
+            key = cell.full_path
+            if cell.space.startswith("scan:"):
+                name = cell.space.split(":", 1)[1]
+                chain = chains[name]
+                by_chain.setdefault(name, []).append(
+                    (key, chain.index(cell.path), chain.cell(cell.path).reader)
+                )
+            elif cell.space.startswith("memory:"):
+                memory.append((key, int(cell.path.split("0x", 1)[1], 16)))
+            elif cell.space == "swreg":
+                match = SWREG_PATH_RE.match(cell.path)
+                if match:
+                    registers.append((key, int(match.group(1))))
+        return ObservationPlan(
+            chains=tuple(
+                (name, tuple(observed)) for name, observed in by_chain.items()
+            ),
+            memory=tuple(memory),
+            registers=tuple(registers),
+        )
+
+    def capture(
+        self,
+        read_memory: Callable[[int], int],
+        read_register: Optional[Callable[[int], int]] = None,
+        read_chain_values: Optional[Callable[[str], List[int]]] = None,
+    ) -> Dict[str, int]:
+        """The state vector. With ``read_chain_values`` every observed
+        chain is shifted out once, in full, and its cells are picked by
+        position; without it each scan cell's reader is called directly,
+        with no scan access (the simulation baseline, design decision
+        D3)."""
+        vector: Dict[str, int] = {}
+        for name, observed in self.chains:
+            if read_chain_values is None:
+                for key, _, reader in observed:
+                    vector[key] = reader()
+            else:
+                values = read_chain_values(name)
+                for key, index, _ in observed:
+                    vector[key] = values[index]
+        for key, address in self.memory:
+            vector[key] = read_memory(address)
+        if self.registers:
+            assert read_register is not None
+            for key, register in self.registers:
+                vector[key] = read_register(register)
+        return vector
 
 
 @dataclass

@@ -24,7 +24,13 @@ from repro.core.checkpoint import (
 from repro.core.experiment import Injection, StateVector, Termination
 from repro.core.faultmodels import InjectionAction, InjectionPlan, apply_op
 from repro.core.framework import Framework, register_target
-from repro.core.locations import FaultLocation, LocationCell, LocationSpace
+from repro.core.locations import (
+    SWREG_PATH_RE,
+    FaultLocation,
+    LocationCell,
+    LocationSpace,
+    ObservationPlan,
+)
 from repro.core.trace import Trace, TraceStep
 from repro.environment.simulator import build_environment
 from repro.swifi.instrument import TrapInstrumenter, _invalidate_cached_word
@@ -39,7 +45,6 @@ from repro.util.errors import CampaignError, TargetError
 from repro.workloads import WorkloadDefinition, get_workload
 
 _MEM_PATH_RE = re.compile(r"^word\.0x([0-9a-fA-F]+)$")
-_SWREG_RE = re.compile(r"^cpu\.regfile\.r(\d+)$")
 
 
 def _termination_from_event(event: DebugEvent) -> Termination:
@@ -88,11 +93,10 @@ class ThorRDInterface(Framework):
         self._instrumenter: Optional[TrapInstrumenter] = None
         # Cached per-campaign structures.
         self._space: Optional[LocationSpace] = None
-        self._observe_cells: List[LocationCell] = []
+        self._observation = ObservationPlan()
         # Golden-run checkpoint capture state (reference run only).
         self._checkpointing = False
         self._checkpoint_pages: Set[int] = set()
-        self.card.on_step = self._dispatch_step
         self.card.trap_hook = self._dispatch_trap
 
     # ------------------------------------------------------------------
@@ -114,8 +118,11 @@ class ThorRDInterface(Framework):
         super().read_campaign_data(campaign)
         if campaign.trigger.kind == "task-switch":
             campaign.trigger.address = self._workload.label("task_switch")
-        self._observe_cells = self.location_space().select_cells(
-            campaign.observe_patterns, writable_only=False
+        self._observation = ObservationPlan.build(
+            self.location_space().select_cells(
+                campaign.observe_patterns, writable_only=False
+            ),
+            self.card.chains,
         )
         if campaign.max_iterations is None:
             campaign.max_iterations = self._workload.default_max_iterations
@@ -143,6 +150,7 @@ class ThorRDInterface(Framework):
         self.card.init()
         self._detail_states = []
         self._instrumenter = None
+        self._sync_step_hook()
         self._environment = None
         # card.init() wipes memory (and with it the dirty-page set), but
         # the tracking flag lives here: make sure reference-run tracking
@@ -283,6 +291,7 @@ class ThorRDInterface(Framework):
             )
         self._instrumenter = TrapInstrumenter(self.card)
         self._instrumenter.instrument(plan, reference.trace)
+        self._sync_step_hook()
 
     def collect_runtime_injections(self) -> List[Injection]:
         if self._instrumenter is None:
@@ -373,7 +382,7 @@ class ThorRDInterface(Framework):
                 _invalidate_cached_word(self.card.cpu.dcache, address)
                 _invalidate_cached_word(self.card.cpu.icache, address)
             elif location.space == "swreg":
-                match = _SWREG_RE.match(location.path)
+                match = SWREG_PATH_RE.match(location.path)
                 if not match:
                     raise CampaignError(f"bad swreg location {location.key()}")
                 index = int(match.group(1))
@@ -443,44 +452,30 @@ class ThorRDInterface(Framework):
         return self._space
 
     def capture_state_vector(self) -> StateVector:
-        vector: StateVector = {}
-        chain_bits: Dict[str, List[int]] = {}
-        for cell in self._observe_cells:
-            if cell.space.startswith("scan:"):
-                chain_name = cell.space.split(":", 1)[1]
-                if chain_name not in chain_bits:
-                    chain_bits[chain_name] = self.card.read_chain(chain_name)
-                chain = self.card.chain(chain_name)
-                offset = chain.bit_offset(cell.path, 0)
-                bits = chain_bits[chain_name][offset : offset + cell.width]
-                value = 0
-                for i, bit in enumerate(bits):
-                    value |= bit << i
-                vector[cell.full_path] = value
-            elif cell.space.startswith("memory:"):
-                address = int(cell.path.split("0x", 1)[1], 16)
-                vector[cell.full_path] = self.card.read_memory(address)
-            elif cell.space == "swreg":
-                match = _SWREG_RE.match(cell.path)
-                if match:
-                    vector[cell.full_path] = self.card.cpu.regs.read(
-                        int(match.group(1))
-                    )
-        return vector
+        """Observed cells through the scan port: one full-chain shift per
+        observed chain (every cell read and width-checked, the shift
+        charged to ``total_scan_cycles``), then memory and registers."""
+        card = self.card
+        return self._observation.capture(
+            card.read_memory, card.cpu.regs.read, card.read_chain_values
+        )
 
     def start_trace(self) -> None:
         self._tracing = True
         self._trace = Trace()
         self._prev_cycles = self.card.cpu.cycles
+        self._sync_step_hook()
 
     def stop_trace(self) -> Trace:
         self._tracing = False
+        self._sync_step_hook()
         return self._trace
 
     def set_detail_logging(self, enabled: bool) -> None:
         self._detail = enabled
         if enabled:
             self._detail_states = []
+        self._sync_step_hook()
 
     def drain_detail_states(self) -> List[StateVector]:
         states = self._detail_states
@@ -491,6 +486,15 @@ class ThorRDInterface(Framework):
         if self._instrumenter is None:
             return False
         return self._instrumenter.handle_trap(card, trap_event)
+
+    def _sync_step_hook(self) -> None:
+        """Install the step hook only while something observes steps
+        (tracing, detail logging, a runtime-SWIFI instrumenter): with no
+        hook the card's run loop pays no per-instruction call."""
+        if self._tracing or self._detail or self._instrumenter is not None:
+            self.card.on_step = self._dispatch_step
+        else:
+            self.card.on_step = None
 
     def _dispatch_step(self, card: TestCard) -> None:
         if self._instrumenter is not None:
@@ -631,6 +635,7 @@ class ThorRDInterface(Framework):
         self._instrumenter = None
         self._tracing = False
         self._detail = False
+        self._sync_step_hook()
         # Verify: recompute the fingerprint over the *live* restored
         # state and compare with the capture-time digest.
         restored_blob = pickle.dumps(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.core.experiment import StateVector
 from repro.core.framework import register_target
-from repro.scifi.interface import _SWREG_RE, ThorRDInterface
+from repro.scifi.interface import ThorRDInterface
 
 
 @register_target("thor-rd-sim")
@@ -24,19 +24,5 @@ class ThorSimInterface(ThorRDInterface):
         does not shift chains to do so — this is design decision D3 in
         DESIGN.md and part of what benchmark E4 measures.
         """
-        vector: StateVector = {}
-        for cell in self._observe_cells:
-            if cell.space.startswith("scan:"):
-                chain_name = cell.space.split(":", 1)[1]
-                chain = self.card.chain(chain_name)
-                vector[cell.full_path] = chain.cell(cell.path).reader()
-            elif cell.space.startswith("memory:"):
-                address = int(cell.path.split("0x", 1)[1], 16)
-                vector[cell.full_path] = self.card.read_memory(address)
-            elif cell.space == "swreg":
-                match = _SWREG_RE.match(cell.path)
-                if match:
-                    vector[cell.full_path] = self.card.cpu.regs.read(
-                        int(match.group(1))
-                    )
-        return vector
+        card = self.card
+        return self._observation.capture(card.read_memory, card.cpu.regs.read)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from operator import rshift
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.thor.cpu import Cpu
@@ -43,12 +44,13 @@ _BYTE_OF_BITS: Dict[Tuple[int, ...], int] = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScanCell:
     """One state element on a chain.
 
     ``path`` is the hierarchical name shown in the GUI's location tree
     (Figure 6), e.g. ``cpu.regfile.r3`` or ``dcache.line2.word1``.
+    Frozen: a chain binds its cells' readers once, at construction.
     """
 
     path: str
@@ -65,6 +67,7 @@ class ScanCell:
 class _CellSlot:
     cell: ScanCell
     offset: int
+    index: int
 
 
 class ScanChain:
@@ -75,14 +78,16 @@ class ScanChain:
         self._slots: List[_CellSlot] = []
         self._by_path: Dict[str, _CellSlot] = {}
         offset = 0
-        for cell in cells:
+        for index, cell in enumerate(cells):
             if cell.path in self._by_path:
                 raise TargetError(f"duplicate scan cell path {cell.path!r}")
-            slot = _CellSlot(cell=cell, offset=offset)
+            slot = _CellSlot(cell=cell, offset=offset, index=index)
             self._slots.append(slot)
             self._by_path[cell.path] = slot
             offset += cell.width
         self.total_bits = offset
+        self._readers = [cell.reader for cell in cells]
+        self._widths = [cell.width for cell in cells]
         self.reads = 0
         self.writes = 0
 
@@ -93,27 +98,36 @@ class ScanChain:
         """Clock cycles needed to shift the full chain in or out."""
         return self.total_bits
 
+    def read_values(self) -> List[int]:
+        """Shift out the full chain as one value per cell, in chain
+        order. Every cell is read and checked against its width, so a
+        cell whose value does not fit raises ``ValueError`` here whether
+        or not the caller wants it."""
+        self.reads += 1
+        values = [reader() for reader in self._readers]
+        # A value fits its cell iff ``value >> width`` is 0 (negative
+        # values shift to -1); the loop only runs to name the first
+        # offender in chain order.
+        if any(map(rshift, values, self._widths)):
+            for value, width in zip(values, self._widths):
+                if value >> width:
+                    raise ValueError(
+                        f"value {value:#x} does not fit in {width} bits"
+                    )
+        return values
+
     def read(self) -> List[int]:
         """Shift out the full chain as a bit list (chain order, LSB-first
-        within each cell). Cells expand eight bits per table access."""
-        self.reads += 1
+        within each cell): :meth:`read_values` expanded eight bits per
+        table access."""
         bits: List[int] = []
         append = bits.append
         extend = bits.extend
         table = _BITS_OF_BYTE
-        for slot in self._slots:
-            cell = slot.cell
-            value = cell.reader()
-            width = cell.width
+        for value, width in zip(self.read_values(), self._widths):
             if width == 1:
-                if value >> 1:
-                    raise ValueError(f"value {value:#x} does not fit in 1 bits")
                 append(value)
                 continue
-            if value < 0 or value >> width:
-                raise ValueError(
-                    f"value {value:#x} does not fit in {width} bits"
-                )
             while width >= 8:
                 extend(table[value & 0xFF])
                 value >>= 8
@@ -187,7 +201,7 @@ class ScanChain:
         ``(path, value)`` tuples; the cell order and paths are structural
         (fixed per target build), so the values alone identify the
         chain-visible state."""
-        return array("Q", [slot.cell.reader() for slot in self._slots])
+        return array("Q", [reader() for reader in self._readers])
 
     # -- structural queries (used by campaign set-up and the GUI) -------------
 
@@ -202,6 +216,14 @@ class ScanChain:
 
     def has_cell(self, path: str) -> bool:
         return path in self._by_path
+
+    def index(self, path: str) -> int:
+        """Position of cell ``path`` in chain order, i.e. in the list
+        :meth:`read_values` returns."""
+        slot = self._by_path.get(path)
+        if slot is None:
+            raise TargetError(f"no scan cell {path!r} on chain {self.name!r}")
+        return slot.index
 
     def bit_offset(self, path: str, bit: int) -> int:
         """Global chain-bit position of ``bit`` within cell ``path``."""

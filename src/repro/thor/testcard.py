@@ -7,7 +7,8 @@ fault-injection tool does to the target goes through the card:
 * download of the workload image and input data (``load_program``,
   ``write_memory``),
 * run control with breakpoints and debug events (``run``, ``set_breakpoints``),
-* scan-chain access while the CPU is stopped (``read_chain``, ``write_chain``),
+* scan-chain access while the CPU is stopped (``read_chain``,
+  ``read_chain_values``, ``write_chain``),
 * the environment-simulator data exchange at loop-iteration (SYNC)
   boundaries (``on_sync``),
 * experiment termination by debug event: "a time-out value has been
@@ -127,6 +128,13 @@ class TestCard:
         chain = self.chain(name)
         self.total_scan_cycles += chain.shift_cycles
         return chain.read()
+
+    def read_chain_values(self, name: str) -> List[int]:
+        """Shift out chain ``name`` as per-cell values (one full-chain
+        shift, charged like :meth:`read_chain`)."""
+        chain = self.chain(name)
+        self.total_scan_cycles += chain.shift_cycles
+        return chain.read_values()
 
     def write_chain(self, name: str, bits: List[int]) -> None:
         chain = self.chain(name)

@@ -112,6 +112,13 @@ class TsmBoard:
         self.total_scan_cycles += chain.shift_cycles
         return chain.read()
 
+    def read_chain_values(self, name: str) -> List[int]:
+        """Shift out chain ``name`` as per-cell values (one full-chain
+        shift, charged like :meth:`read_chain`)."""
+        chain = self.chain(name)
+        self.total_scan_cycles += chain.shift_cycles
+        return chain.read_values()
+
     def write_chain(self, name: str, bits: List[int]) -> None:
         chain = self.chain(name)
         self.total_scan_cycles += chain.shift_cycles
@@ -126,6 +133,8 @@ class TsmBoard:
         machine = self.machine
         if machine.halted:
             raise TargetError("TSM is halted; re-initialise the board first")
+        # The hook is only reconfigured while the board is stopped.
+        on_step = self.on_step
         while True:
             if stop_cycle is not None and machine.cycles >= stop_cycle:
                 return DebugEvent(
@@ -141,10 +150,10 @@ class TsmBoard:
                     cycle=machine.cycles,
                 )
             event = machine.step()
-            if self.on_step is not None and (
+            if on_step is not None and (
                 event is None or event.kind == "sync"
             ):
-                self.on_step(self)
+                on_step(self)
             if event is None:
                 continue
             if event.kind == "halt":

@@ -17,7 +17,12 @@ from repro.core.campaign import CampaignData
 from repro.core.experiment import Injection, StateVector, Termination
 from repro.core.faultmodels import InjectionAction, apply_op
 from repro.core.framework import Framework, register_target
-from repro.core.locations import FaultLocation, LocationCell, LocationSpace
+from repro.core.locations import (
+    FaultLocation,
+    LocationCell,
+    LocationSpace,
+    ObservationPlan,
+)
 from repro.core.trace import Trace, TraceStep
 from repro.thor.testcard import DebugEventKind
 from repro.tsm.board import TsmBoard
@@ -39,13 +44,12 @@ class TsmInterface(Framework):
         self.board = TsmBoard(config)
         self._workload: Optional[TsmWorkload] = None
         self._space: Optional[LocationSpace] = None
-        self._observe_cells: List[LocationCell] = []
+        self._observation = ObservationPlan()
         self._tracing = False
         self._trace = Trace()
         self._prev_cycles = 0
         self._detail = False
         self._detail_states: List[StateVector] = []
-        self.board.on_step = self._on_step
 
     # ------------------------------------------------------------------
     # Campaign binding
@@ -57,15 +61,16 @@ class TsmInterface(Framework):
         )
         self._space = None
         super().read_campaign_data(campaign)
-        self._observe_cells = self.location_space().select_cells(
+        cells = self.location_space().select_cells(
             campaign.observe_patterns, writable_only=False
         )
-        if not self._observe_cells:
+        if not cells:
             # The campaign's observe patterns were written for another
             # target; fall back to observing the whole internal chain.
-            self._observe_cells = self.location_space().select_cells(
+            cells = self.location_space().select_cells(
                 ["scan:internal/*"], writable_only=False
             )
+        self._observation = ObservationPlan.build(cells, self.board.chains)
         if campaign.max_iterations is None:
             campaign.max_iterations = self._workload.default_max_iterations
 
@@ -81,6 +86,7 @@ class TsmInterface(Framework):
     def init_test_card(self) -> None:
         self.board.init()
         self._detail_states = []
+        self._sync_step_hook()
 
     def load_workload(self) -> None:
         self.board.load_program(self._require_workload().program)
@@ -239,44 +245,40 @@ class TsmInterface(Framework):
         return self._space
 
     def capture_state_vector(self) -> StateVector:
-        vector: StateVector = {}
-        bits_cache: Dict[str, List[int]] = {}
-        for cell in self._observe_cells:
-            if cell.space.startswith("scan:"):
-                chain_name = cell.space.split(":", 1)[1]
-                if chain_name not in bits_cache:
-                    bits_cache[chain_name] = self.board.read_chain(chain_name)
-                chain = self.board.chain(chain_name)
-                offset = chain.bit_offset(cell.path, 0)
-                value = 0
-                for i, bit in enumerate(
-                    bits_cache[chain_name][offset : offset + cell.width]
-                ):
-                    value |= bit << i
-                vector[cell.full_path] = value
-            elif cell.space.startswith("memory:"):
-                address = int(cell.path.split("0x", 1)[1], 16)
-                vector[cell.full_path] = self.board.read_memory(address)
-        return vector
+        """Observed cells through the scan port (one full-chain shift per
+        observed chain), then memory."""
+        board = self.board
+        return self._observation.capture(
+            board.read_memory, read_chain_values=board.read_chain_values
+        )
 
     def start_trace(self) -> None:
         self._tracing = True
         self._trace = Trace()
         self._prev_cycles = self.board.machine.cycles
+        self._sync_step_hook()
 
     def stop_trace(self) -> Trace:
         self._tracing = False
+        self._sync_step_hook()
         return self._trace
 
     def set_detail_logging(self, enabled: bool) -> None:
         self._detail = enabled
         if enabled:
             self._detail_states = []
+        self._sync_step_hook()
 
     def drain_detail_states(self) -> List[StateVector]:
         states = self._detail_states
         self._detail_states = []
         return states
+
+    def _sync_step_hook(self) -> None:
+        """Install the step hook only while tracing or detail logging."""
+        self.board.on_step = (
+            self._on_step if self._tracing or self._detail else None
+        )
 
     def _on_step(self, board: TsmBoard) -> None:
         if self._tracing:

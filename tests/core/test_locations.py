@@ -1,7 +1,10 @@
 """Unit tests for fault-location spaces and the hierarchy (Figure 6)."""
 
+from fnmatch import fnmatchcase
+
 import pytest
 
+from repro.core import create_target
 from repro.core.locations import (
     FaultLocation,
     LocationCell,
@@ -9,6 +12,7 @@ from repro.core.locations import (
     LocationTree,
 )
 from repro.util.errors import ConfigurationError
+from tests.conftest import make_campaign
 
 
 @pytest.fixture
@@ -83,6 +87,56 @@ class TestSelection:
         assert space.cell("scan:internal", "cpu.pc").width == 16
         with pytest.raises(ConfigurationError):
             space.cell("scan:internal", "nope")
+
+
+def _target_space(target_name):
+    """The full location space of a target bound to a campaign."""
+    if target_name == "tsm-1":
+        campaign = make_campaign(
+            target_name="tsm-1",
+            workload_name="sumsq",
+            location_patterns=["scan:internal/tsm.dstack.*"],
+        )
+    else:
+        campaign = make_campaign(target_name=target_name)
+    target = create_target(target_name)
+    target.read_campaign_data(campaign)
+    return target.location_space()
+
+
+class TestSelectionMatchesFnmatch:
+    """``select_cells`` compiles each pattern tuple once; its result and
+    order must equal a per-cell, per-pattern ``fnmatchcase`` scan."""
+
+    @pytest.mark.parametrize("target_name", ["thor-rd", "tsm-1"])
+    @pytest.mark.parametrize("writable_only", [True, False])
+    @pytest.mark.parametrize(
+        "patterns",
+        [
+            [],
+            ["scan:internal/*"],
+            ["scan:internal/cpu.regfile.r1"],
+            ["scan:internal/cpu.regfile.r?"],
+            ["scan:internal/dcache.line[0-2].*", "memory:data/*"],
+            ["*/cpu.regfile.r1[!0-2]", "swreg/*", "scan:boundary/pins.[ad]*"],
+            ["scan:*/tsm.dstack.s[13]", "memory:*/word.0x00[0-9a-f]?"],
+            ["memory:data/*", "scan:internal/*.pc", "scan:internal/cpu.*"],
+            ["SCAN:internal/*", "nothing/*"],
+        ],
+    )
+    def test_equals_fnmatchcase_reference(
+        self, target_name, writable_only, patterns
+    ):
+        space = _target_space(target_name)
+        expected = [
+            cell
+            for cell in space.cells()
+            if not (writable_only and cell.read_only)
+            and any(fnmatchcase(cell.full_path, p) for p in patterns)
+        ]
+        assert space.select_cells(patterns, writable_only) == expected
+        # A second call reuses the compiled matcher; same answer.
+        assert space.select_cells(list(patterns), writable_only) == expected
 
 
 class TestTree:
