@@ -29,12 +29,7 @@ from repro.core.checkpoint import (
     CheckpointTick,
     RestoreImage,
 )
-from repro.core.divergence import (
-    MemoEntry,
-    OutcomeMemo,
-    memo_key,
-    run_window,
-)
+from repro.core.divergence import MemoEntry, memo_key, run_window
 from repro.core.experiment import (
     ExperimentResult,
     Injection,
@@ -394,7 +389,7 @@ class FaultInjectionAlgorithms(abc.ABC):
         self.early_exit: bool = True
         #: Per-campaign-binding memo table (reset on rebind: a "cold"
         #: key from another workload must never shortcut this one).
-        self._memo: Optional[OutcomeMemo] = None
+        self._memo: Optional[Dict[str, MemoEntry]] = None
         #: Optional :class:`repro.core.goldencache.GoldenRunCache` —
         #: when set, :meth:`prepare_run` reuses a cached golden run
         #: (trace + fingerprint + checkpoint store) keyed by the
@@ -1138,7 +1133,7 @@ class FaultInjectionAlgorithms(abc.ABC):
                 else self._checkpoints.tick(restore).fingerprint,
                 plan,
             )
-            entry = memo.lookup(key)
+            entry = memo.get(key)
             if entry is not None:
                 started = _time.perf_counter()
                 result = self._new_result(index)
@@ -1160,7 +1155,7 @@ class FaultInjectionAlgorithms(abc.ABC):
         result.wall_seconds = _time.perf_counter() - started
         obs.metrics.counter("experiments_total").inc()
         if memo is not None and key is not None and result.termination is not None:
-            memo.record(key, MemoEntry.from_result(result))
+            memo[key] = MemoEntry.from_result(result)
             if obs.metrics.enabled:
                 obs.metrics.counter("divergence.memo_inserts").inc()
         return result
@@ -1361,7 +1356,7 @@ class FaultInjectionAlgorithms(abc.ABC):
         result.outputs = dict(reference.outputs)
         result.state_vector = dict(reference.state_vector)
 
-    def _memo_table(self) -> Optional[OutcomeMemo]:
+    def _memo_table(self) -> Optional[Dict[str, MemoEntry]]:
         """The campaign-scoped outcome memo, or None when memoization
         does not apply (disabled, or detail mode — a replayed outcome
         has no per-instruction states to drain)."""
@@ -1371,7 +1366,7 @@ class FaultInjectionAlgorithms(abc.ABC):
         if campaign.logging_mode == "detail":
             return None
         if self._memo is None:
-            self._memo = OutcomeMemo()
+            self._memo = {}
         return self._memo
 
     def _campaign_loop(self, campaign, sink, control, skip_indices=None):

@@ -14,6 +14,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.core.preinjection import PREINJECTION_MODES
 from repro.core.triggers import TriggerSpec
 from repro.util.errors import ConfigurationError
 
@@ -149,12 +150,7 @@ class CampaignData:
             raise ConfigurationError("timeout_cycles must be positive")
         if self.timeout_factor <= 1.0:
             raise ConfigurationError("timeout_factor must exceed 1.0")
-        if self.preinjection_mode not in (
-            "dynamic",
-            "static",
-            "hybrid",
-            "equivalence",
-        ):
+        if self.preinjection_mode not in PREINJECTION_MODES:
             raise ConfigurationError(
                 f"unknown pre-injection mode {self.preinjection_mode!r}"
             )

@@ -23,15 +23,14 @@ target-independent half of it for GOOFI's building-block algorithms:
   golden run never touched — just means "keep simulating": false
   negatives cost speed, never correctness.
 
-* :class:`OutcomeMemo` — a per-campaign memo table keyed by
-  ``(restore checkpoint digest, canonical injection delta)``. Two
-  experiments that restore the same checkpoint (or both start cold) and
-  inject the identical action list are the *same* deterministic
-  computation, so the second one's outcome can be replayed from the
-  first's record byte-for-byte. The parallel runner ships newly recorded
-  entries to the parent with each shard's ``"done"`` message and
-  forwards the merged table to workers on dispatch — the same
-  parent-side merge topology as the golden-run cache.
+* the outcome memo — a per-campaign-binding table (a plain dict on the
+  port, see :class:`MemoEntry`) keyed by ``(restore checkpoint digest,
+  canonical injection delta)``. Two experiments that restore the same
+  checkpoint (or both start cold) and inject the identical action list
+  are the *same* deterministic computation, so the second one's outcome
+  can be replayed from the first's record byte-for-byte. Each process
+  keeps its own table: a parallel worker memoizes the experiments of
+  its own shards and never exchanges entries with its siblings.
 
 Both features are observable through the ``divergence.*`` metrics
 family (``early_exits``, ``cycles_skipped``, ``memo_hits``, plus
@@ -42,7 +41,7 @@ by ``goofi run --no-early-exit``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.core.checkpoint import state_digest
 from repro.core.experiment import (
@@ -57,7 +56,6 @@ from repro.util.errors import NotImplementedByPort
 __all__ = [
     "COLD_RESTORE_KEY",
     "MemoEntry",
-    "OutcomeMemo",
     "WindowOutcome",
     "memo_key",
     "plan_delta",
@@ -107,7 +105,7 @@ def memo_key(restore_digest: Optional[str], plan: Any) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Memo table
+# Memo entries
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -133,100 +131,13 @@ class MemoEntry:
 
     def apply(self, result: ExperimentResult) -> None:
         """Fill ``result`` with this entry's outcome (fresh copies — a
-        memo entry is shared across experiments and processes)."""
+        memo entry is replayed onto every experiment that hits it)."""
         result.termination = Termination.from_dict(dict(self.termination))
         result.outputs = dict(self.outputs)
         result.state_vector = dict(self.state_vector)
         result.injections = [
             Injection.from_dict(row) for row in self.injections
         ]
-
-    def to_row(self) -> Dict[str, Any]:
-        return {
-            "termination": dict(self.termination),
-            "outputs": dict(self.outputs),
-            "state_vector": dict(self.state_vector),
-            "injections": [dict(row) for row in self.injections],
-        }
-
-    @classmethod
-    def from_row(cls, row: Dict[str, Any]) -> "MemoEntry":
-        return cls(
-            termination=dict(row["termination"]),
-            outputs=dict(row["outputs"]),
-            state_vector=dict(row["state_vector"]),
-            injections=[dict(item) for item in row["injections"]],
-        )
-
-
-class OutcomeMemo:
-    """Insertion-ordered memo table of experiment outcomes.
-
-    Serial campaigns use only :meth:`lookup` / :meth:`record`. The
-    parallel runner additionally moves entries between processes as
-    plain ``{"key": ..., "entry": ...}`` rows: workers
-    :meth:`drain_new` their own recordings into each shard's ``"done"``
-    message, the parent :meth:`merge`\\ s them (merged rows are *not*
-    re-drained, so entries never echo back and forth), and
-    :meth:`rows_since` gives the parent a per-worker forwarding cursor
-    over the global insertion order."""
-
-    def __init__(self) -> None:
-        self._entries: Dict[str, MemoEntry] = {}
-        self._order: List[str] = []
-        self._new: List[str] = []
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def lookup(self, key: str) -> Optional[MemoEntry]:
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return entry
-
-    def record(self, key: str, entry: MemoEntry) -> None:
-        """Insert a locally computed outcome (marked for draining)."""
-        if key in self._entries:
-            return
-        self._entries[key] = entry
-        self._order.append(key)
-        self._new.append(key)
-
-    def merge(self, rows: List[Dict[str, Any]]) -> int:
-        """Adopt rows recorded elsewhere (parent or sibling workers);
-        returns how many were new. Merged rows do not mark as new."""
-        added = 0
-        for row in rows:
-            key = row["key"]
-            if key in self._entries:
-                continue
-            self._entries[key] = MemoEntry.from_row(row["entry"])
-            self._order.append(key)
-            added += 1
-        return added
-
-    def drain_new(self) -> List[Dict[str, Any]]:
-        """Rows recorded locally since the previous drain."""
-        fresh = self._new
-        self._new = []
-        return [
-            {"key": key, "entry": self._entries[key].to_row()}
-            for key in fresh
-        ]
-
-    def rows_since(self, cursor: int) -> Tuple[List[Dict[str, Any]], int]:
-        """Rows appended after ``cursor`` plus the advanced cursor —
-        the parent's dispatch-time forwarding window for one worker."""
-        rows = [
-            {"key": key, "entry": self._entries[key].to_row()}
-            for key in self._order[cursor:]
-        ]
-        return rows, len(self._order)
 
 
 # ---------------------------------------------------------------------------

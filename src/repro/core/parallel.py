@@ -53,7 +53,6 @@ from repro.core.algorithms import (
 )
 from repro.core.campaign import CampaignData
 from repro.core.controller import CampaignController
-from repro.core.divergence import OutcomeMemo
 from repro.core.experiment import ExperimentResult, Termination
 from repro.observability import (
     Observability,
@@ -70,10 +69,8 @@ from repro.observability.health import (
 from repro.util.errors import CampaignError
 
 __all__ = [
-    "LocalWorkerHandle",
     "ParallelConfig",
     "ParallelCampaignController",
-    "WorkerHandle",
     "run_parallel_campaign",
     "canonical_experiment_rows",
 ]
@@ -105,13 +102,6 @@ class ParallelConfig:
     #: metric deltas). ``None`` inherits the process-global configuration
     #: (:func:`repro.observability.current_config`).
     observability: Optional[ObservabilityConfig] = None
-    #: Ship the parent's golden run (reference + checkpoint store) to
-    #: every worker so workers skip their per-process reference
-    #: execution. Serialised once in the parent (free under ``fork``:
-    #: copy-on-write). Disable to force each worker to redo its own
-    #: reference run (restores the per-worker determinism fingerprint
-    #: check as an end-to-end test of the port).
-    share_golden: bool = True
     #: Directory for the on-disk golden-run cache
     #: (:class:`repro.core.goldencache.GoldenRunCache`): the parent's
     #: reference run is loaded from / stored to it, keyed by the
@@ -122,19 +112,9 @@ class ParallelConfig:
     #: any divergence aborts the campaign.
     verify_equivalence: float = 0.0
     #: Divergence-window early exits + outcome memoization in workers
-    #: (the parallel face of ``goofi run --no-early-exit``). When on,
-    #: newly recorded memo entries ride each shard's ``"done"`` message
-    #: to the parent, which forwards the merged table to every worker on
-    #: dispatch — the same parent-side merge topology as the golden
-    #: cache, so a class of identical faults executes once campaign-wide
-    #: rather than once per worker.
+    #: (the parallel face of ``goofi run --no-early-exit``). Each worker
+    #: memoizes the experiments of its own shards.
     early_exit: bool = True
-    #: Pluggable worker construction: a callable with
-    #: :class:`LocalWorkerHandle`'s signature returning a
-    #: :class:`WorkerHandle`. ``None`` builds local worker processes;
-    #: the campaign fabric's socket-attached remote workers land behind
-    #: this seam without the event loop noticing.
-    handle_factory: Optional[Any] = None
 
     def validate(self) -> None:
         if self.n_workers < 1:
@@ -178,50 +158,45 @@ def _worker_main(
     conn: Any,
     factory: Any,
     campaign_json: str,
-    worker_id: int = 0,
-    obs_config: Optional[ObservabilityConfig] = None,
-    golden: Any = None,
-    port_options: Optional[Dict[str, Any]] = None,
+    worker_id: int,
+    obs_config: Optional[ObservabilityConfig],
+    golden: Any,
+    early_exit: bool,
 ) -> None:
     """Worker process entry point.
 
-    Builds an isolated port via ``factory``, binds the campaign, performs
-    its own reference run (announced as a determinism fingerprint), then
-    serves ``("run", [indices], memo_rows, verify)`` task messages until
-    ``("quit",)``. The indices in ``verify`` are equivalence
-    verifications and run with the memo bypassed: a verification that
-    replays a memo would verify nothing. ``port_options`` are plain
-    attribute overrides applied to the fresh port before the campaign
-    binds (``early_exit`` — a knob that lives on the instance rather
-    than in CampaignData).
+    Builds an isolated port via ``factory``, binds the campaign (adopting
+    the parent's golden run, or redoing the reference run when the port
+    cannot adopt it), announces the reference run as a determinism
+    fingerprint, then serves ``("run", [indices], verify)`` task
+    messages until ``("quit",)``. The indices in ``verify`` are
+    equivalence verifications and run with the memo bypassed: a
+    verification that replays a memo would verify nothing.
+    ``early_exit`` is the port's instance knob of the same name (it
+    lives on the port rather than in CampaignData).
 
     With observability enabled, the worker installs its *own* fresh
     instrumentation (a ``.workerN`` sibling trace file, an empty metrics
     registry — never the parent's inherited state) and ships a metrics
-    *delta* — and any outcome-memo entries it recorded — alongside every
-    shard's ``"done"`` message; the parent merges the deltas under a
-    ``worker<N>.`` prefix so per-worker experiment counts stay
-    attributable and sum to the campaign totals."""
+    *delta* with every shard's ``("done", delta)`` message; the parent
+    merges the deltas under a ``worker<N>.`` prefix so per-worker
+    experiment counts stay attributable and sum to the campaign
+    totals."""
     obs: Optional[Observability] = None
     if obs_config is not None and obs_config.enabled:
         obs = configure_worker(obs_config, worker_id)
     try:
         campaign = CampaignData.from_json(campaign_json)
         port = factory()
-        for name, value in (port_options or {}).items():
-            setattr(port, name, value)
+        port.early_exit = early_exit
         reference = port.prepare_run(campaign, golden=golden)
         conn.send(("ready", _reference_fingerprint(reference)))
         while True:
             message = conn.recv()
             if message[0] == "quit":
                 break
-            assert message[0] == "run"
-            memo = port._memo_table()
-            if memo is not None and len(message) > 2 and message[2]:
-                memo.merge(message[2])
-            verify = set(message[3]) if len(message) > 3 else set()
-            for index in message[1]:
+            indices, verify = message[1], set(message[2])
+            for index in indices:
                 try:
                     if index in verify:
                         result = port.run_single_experiment(
@@ -239,8 +214,7 @@ def _worker_main(
                 if obs is not None and obs.metrics.enabled
                 else None
             )
-            memo_delta = memo.drain_new() if memo is not None else []
-            conn.send(("done", delta, memo_delta))
+            conn.send(("done", delta))
     except (EOFError, OSError, KeyboardInterrupt):  # parent went away
         pass
     except Exception as exc:  # init failure, reported upstream as fatal
@@ -261,27 +235,15 @@ def _worker_main(
 # Parent side
 # ---------------------------------------------------------------------------
 
-class WorkerHandle:
-    """Parent-side view of one fleet worker — the interface the event
-    loop schedules shards against.
+class _Worker:
+    """Parent-side view of one worker process and its duplex pipe — what
+    the event loop schedules shards against."""
 
-    The base class owns everything that is pure bookkeeping over a
-    duplex message ``conn`` (dispatch, watchdog deadlines, shard
-    tracking, quit requests); transports implement the three lifecycle
-    hooks — :meth:`alive`, :meth:`join` and :meth:`_terminate` — plus a
-    constructor that sets :attr:`conn`. :class:`LocalWorkerHandle`
-    backs the handle with a forked/spawned process and a pipe; a
-    socket-attached remote worker implements the same contract over a
-    ``multiprocessing.connection.Client`` connection and plugs in via
-    :attr:`ParallelConfig.handle_factory` — the event loop cannot tell
-    the difference."""
-
-    #: Duplex connection speaking the worker protocol (must support
-    #: ``send``/``recv``/``poll``/``close`` and ``_mpc.wait``).
-    conn: Any
-
-    def __init__(self, worker_id: int = 0) -> None:
+    def __init__(self, worker_id: int, conn: Any, process: Any) -> None:
         self.worker_id = worker_id
+        #: Parent end of the pipe speaking the worker protocol.
+        self.conn = conn
+        self.process = process
         self.ready = False
         self.dead = False
         #: True from shard dispatch until the worker's "done" message —
@@ -301,12 +263,11 @@ class WorkerHandle:
         self,
         indices: Sequence[int],
         timeout: Optional[float],
-        memo_rows: Optional[List[Dict[str, Any]]] = None,
-        verify: Sequence[int] = (),
+        verify: Sequence[int],
     ) -> None:
         self.busy = True
         self.shard = deque(indices)
-        self.conn.send(("run", list(indices), memo_rows or [], list(verify)))
+        self.conn.send(("run", list(indices), list(verify)))
         self.touch(timeout)
 
     def touch(self, timeout: Optional[float]) -> None:
@@ -328,76 +289,15 @@ class WorkerHandle:
             self.conn.close()
         except OSError:
             pass
-        self._terminate()
+        if self.process.is_alive():
+            self.process.terminate()
+        self.process.join(timeout=5.0)
 
     def request_quit(self) -> None:
         try:
             self.conn.send(("quit",))
         except (OSError, ValueError, BrokenPipeError):
             pass
-
-    # -- transport hooks ---------------------------------------------------
-
-    def alive(self) -> bool:
-        """Is the underlying worker still there? (watchdog liveness)"""
-        raise NotImplementedError
-
-    def join(self, timeout: Optional[float] = None) -> None:
-        """Wait for the worker to wind down after a quit request."""
-        raise NotImplementedError
-
-    def _terminate(self) -> None:
-        """Forcibly stop the worker (called from :meth:`kill`)."""
-        raise NotImplementedError
-
-
-class LocalWorkerHandle(WorkerHandle):
-    """A :class:`WorkerHandle` backed by a local worker process and a
-    duplex pipe (the default transport)."""
-
-    def __init__(
-        self,
-        context: Any,
-        factory: Any,
-        campaign_json: str,
-        worker_id: int = 0,
-        obs_config: Optional[ObservabilityConfig] = None,
-        golden: Any = None,
-        port_options: Optional[Dict[str, Any]] = None,
-    ):
-        super().__init__(worker_id)
-        parent_conn, child_conn = context.Pipe(duplex=True)
-        self.conn = parent_conn
-        self.process = context.Process(
-            target=_worker_main,
-            args=(
-                child_conn,
-                factory,
-                campaign_json,
-                worker_id,
-                obs_config,
-                golden,
-                port_options,
-            ),
-            daemon=True,
-        )
-        self.process.start()
-        child_conn.close()
-
-    def alive(self) -> bool:
-        return bool(self.process.is_alive())
-
-    def join(self, timeout: Optional[float] = None) -> None:
-        self.process.join(timeout=timeout)
-
-    def _terminate(self) -> None:
-        if self.process.is_alive():
-            self.process.terminate()
-        self.process.join(timeout=5.0)
-
-
-#: Backwards-compatible alias (pre-fabric name).
-_WorkerHandle = LocalWorkerHandle
 
 
 class _ParallelRun:
@@ -436,22 +336,11 @@ class _ParallelRun:
         self.retries: Dict[int, int] = {}
         self.reported = 0
         self.batch: List[ExperimentResult] = []
-        self.workers: List[WorkerHandle] = []
+        self.workers: List[_Worker] = []
         self.fingerprint: Optional[Tuple[int, int, str]] = None
         self.campaign_json = ""
-        #: Parent golden-run bundle shipped to workers (share_golden).
+        #: Parent golden-run bundle shipped to every worker.
         self.golden: Any = None
-        #: Campaign-wide outcome memo relay: worker recordings merge in
-        #: via "done" messages; :meth:`_memo_rows_for` forwards the
-        #: global insertion order to each worker through a per-worker
-        #: cursor, so every worker eventually sees every entry exactly
-        #: once. None when early-exit/memoization is off.
-        self.memo: Optional[OutcomeMemo] = (
-            OutcomeMemo() if config.early_exit else None
-        )
-        #: worker_id -> how far into the memo's insertion order that
-        #: worker has been forwarded.
-        self._memo_cursors: Dict[int, int] = {}
         self.failures = 0
         self.obs = get_observability()
         self.obs_config = (
@@ -513,19 +402,18 @@ class _ParallelRun:
         reference = parent_port.prepare_run(self.campaign)
         self.fingerprint = _reference_fingerprint(reference)
         self.sink.log_reference(self.campaign, reference)
-        if self.config.share_golden:
-            # Bundle the parent's golden run (reference + checkpoint
-            # store) once; every worker adopts it instead of redoing the
-            # reference execution. Built after prepare_run so a
-            # disk-cache hit is forwarded too.
-            from repro.core.goldencache import GoldenRun, campaign_golden_key
+        # Bundle the parent's golden run (reference + checkpoint store)
+        # once; every worker adopts it instead of redoing the reference
+        # execution (free under ``fork``: copy-on-write). Built after
+        # prepare_run so a disk-cache hit is forwarded too.
+        from repro.core.goldencache import GoldenRun, campaign_golden_key
 
-            self.golden = GoldenRun(
-                config_hash=campaign_golden_key(self.campaign),
-                target_name=self.campaign.target_name,
-                reference=reference,
-                checkpoints=parent_port._checkpoints,
-            )
+        self.golden = GoldenRun(
+            config_hash=campaign_golden_key(self.campaign),
+            target_name=self.campaign.target_name,
+            reference=reference,
+            checkpoints=parent_port._checkpoints,
+        )
         # Serialise *after* prepare_run: campaign binding resolves
         # trigger addresses and iteration limits that workers must share.
         self.campaign_json = self.campaign.to_json()
@@ -553,20 +441,27 @@ class _ParallelRun:
             self._flush_ordered(final=True)
             self._shutdown()
 
-    def _spawn_worker(self, context: Any) -> WorkerHandle:
+    def _spawn_worker(self, context: Any) -> _Worker:
         worker_id = self._next_worker_id
         self._next_worker_id += 1
         self.obs.tracer.event("worker-spawn", worker=worker_id)
-        handle_factory = self.config.handle_factory or LocalWorkerHandle
-        return handle_factory(
-            context,
-            self.factory,
-            self.campaign_json,
-            worker_id=worker_id,
-            obs_config=self.obs_config,
-            golden=self.golden,
-            port_options={"early_exit": self.config.early_exit},
+        parent_conn, child_conn = context.Pipe(duplex=True)
+        process = context.Process(
+            target=_worker_main,
+            args=(
+                child_conn,
+                self.factory,
+                self.campaign_json,
+                worker_id,
+                self.obs_config,
+                self.golden,
+                self.config.early_exit,
+            ),
+            daemon=True,
         )
+        process.start()
+        child_conn.close()
+        return _Worker(worker_id, parent_conn, process)
 
     # -- event loop --------------------------------------------------------
 
@@ -635,21 +530,8 @@ class _ParallelRun:
             worker.dispatch(
                 shard,
                 self.config.timeout_seconds,
-                memo_rows=self._memo_rows_for(worker),
                 verify=[i for i in shard if self.schedule.verifies(i)],
             )
-
-    def _memo_rows_for(
-        self, worker: WorkerHandle
-    ) -> Optional[List[Dict[str, Any]]]:
-        """Memo entries this worker has not been forwarded yet (its
-        cursor over the parent table's global insertion order)."""
-        if self.memo is None:
-            return None
-        cursor = self._memo_cursors.get(worker.worker_id, 0)
-        rows, advanced = self.memo.rows_since(cursor)
-        self._memo_cursors[worker.worker_id] = advanced
-        return rows
 
     def _next_shard(self) -> List[int]:
         shard: List[int] = []
@@ -681,13 +563,13 @@ class _ParallelRun:
                 continue
             self._handle_message(worker, message)
 
-    def _worker_for(self, conn: Any) -> Optional[WorkerHandle]:
+    def _worker_for(self, conn: Any) -> Optional[_Worker]:
         for worker in self.workers:
             if worker.conn is conn:
                 return worker
         return None
 
-    def _handle_message(self, worker: WorkerHandle, message: Tuple) -> None:
+    def _handle_message(self, worker: _Worker, message: Tuple) -> None:
         kind = message[0]
         if self.health.enabled:
             # Any message is a sign of life, not just results — a worker
@@ -715,10 +597,7 @@ class _ParallelRun:
             worker.busy = False
             worker.shard.clear()
             worker.deadline = None
-            delta = message[1] if len(message) > 1 else None
-            memo_delta = message[2] if len(message) > 2 else None
-            if self.memo is not None and memo_delta:
-                self.memo.merge(memo_delta)
+            delta = message[1]
             if delta:
                 # Per-worker metric shipping: the delta merges under a
                 # worker-scoped prefix, so the per-worker experiment
@@ -730,7 +609,7 @@ class _ParallelRun:
             raise CampaignError(f"parallel worker failed to start: {message[1]}")
 
     @staticmethod
-    def _discard_from_shard(worker: WorkerHandle, index: int) -> None:
+    def _discard_from_shard(worker: _Worker, index: int) -> None:
         try:
             worker.shard.remove(index)
         except ValueError:
@@ -748,7 +627,7 @@ class _ParallelRun:
                 self._handle_worker_death(
                     worker, f"watchdog: experiment exceeded {timeout:.1f}s"
                 )
-            elif not worker.alive():
+            elif not worker.process.is_alive():
                 self._handle_worker_death(worker, "worker process crashed")
 
     def _replace_dead_workers(self) -> None:
@@ -759,7 +638,7 @@ class _ParallelRun:
             if worker.dead and work_remains:
                 self.workers[position] = self._respawn()
 
-    def _handle_worker_death(self, worker: WorkerHandle, reason: str) -> None:
+    def _handle_worker_death(self, worker: _Worker, reason: str) -> None:
         self.obs.tracer.event(
             "worker-death", worker=worker.worker_id, reason=reason
         )
@@ -776,7 +655,7 @@ class _ParallelRun:
         worker.kill()
         self._fail_worker_shard(worker, reason)
 
-    def _fail_worker_shard(self, worker: WorkerHandle, reason: str) -> None:
+    def _fail_worker_shard(self, worker: _Worker, reason: str) -> None:
         """The leftmost shard entry was in flight when the worker died —
         charge the failure to it; later entries were never started and are
         requeued without a retry penalty."""
@@ -787,7 +666,7 @@ class _ParallelRun:
             self.retry_queue.appendleft(worker.shard.pop())
         worker.deadline = None
 
-    def _respawn(self) -> WorkerHandle:
+    def _respawn(self) -> _Worker:
         self.obs.metrics.counter("parallel.respawns_total").inc()
         return self._spawn_worker(self.config.context())
 
@@ -885,7 +764,9 @@ class _ParallelRun:
     def _drain_after_stop(self) -> None:
         """Best-effort pickup of results already in the pipes when the End
         button stopped the campaign (matches the serial guarantee that
-        every completed experiment is logged)."""
+        every completed experiment is logged, and so are the metric
+        deltas of shards that finished). A drained error only leaves its
+        shard: the index stays unlogged, so a resume re-runs it."""
         for worker in self.workers:
             while True:
                 try:
@@ -894,12 +775,10 @@ class _ParallelRun:
                     message = worker.conn.recv()
                 except (EOFError, OSError):
                     break
-                if message[0] in ("result", "error", "done"):
-                    if message[0] == "result":
-                        self.schedule.accept(message[1], message[2])
-                    self._discard_from_shard(
-                        worker, message[1] if len(message) > 1 else -1
-                    )
+                if message[0] in ("result", "done"):
+                    self._handle_message(worker, message)
+                elif message[0] == "error":
+                    self._discard_from_shard(worker, message[1])
                 else:  # pragma: no cover - ready/fatal during stop
                     break
 
@@ -907,8 +786,8 @@ class _ParallelRun:
         for worker in self.workers:
             worker.request_quit()
         for worker in self.workers:
-            worker.join(timeout=1.0)
-            if worker.alive():
+            worker.process.join(timeout=1.0)
+            if worker.process.is_alive():
                 worker.kill()
             else:
                 try:

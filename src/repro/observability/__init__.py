@@ -10,8 +10,8 @@ machine-readable run reports):
 * :class:`~repro.observability.metrics.MetricsRegistry` — counters,
   gauges and timing histograms, snapshotable to JSON, mergeable across
   worker processes;
-* :func:`~repro.observability.profiling.profile` — a context-manager
-  timer feeding both surfaces at once.
+* :meth:`Observability.profile` — a context-manager timer feeding both
+  surfaces at once.
 
 The subsystem is wired through ``repro.core.algorithms`` (experiments,
 scan ops, pre-injection sampling), ``repro.core.parallel`` (per-worker
@@ -60,7 +60,7 @@ from repro.observability.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.observability.profiling import NULL_PROFILE, ProfiledBlock, profile
+from repro.observability.profiling import NULL_PROFILE, ProfiledBlock
 from repro.observability.tracer import (
     NULL_SPAN,
     NULL_TRACER,
@@ -93,7 +93,6 @@ __all__ = [
     "disable",
     "get_health",
     "get_observability",
-    "profile",
     "read_flight_dump",
     "read_trace",
     "read_trace_with_rotation",

@@ -1,21 +1,23 @@
 """Context-manager profiling hooks: one timer, two sinks.
 
-``profile(obs, name, **fields)`` times a block and lands the duration in
-*both* observability surfaces at once: a span record ``name`` in the
-tracer (when tracing) and an observation in the ``<name>_seconds``
-histogram (when metrics are on). Fully disabled observability returns a
-shared no-op singleton, so the hook can stay in hot paths permanently.
+:meth:`repro.observability.Observability.profile` times a block with a
+:class:`ProfiledBlock`, which lands the duration in *both*
+observability surfaces at once: a span record ``name`` in the tracer
+(when tracing) and an observation in the ``<name>_seconds`` histogram
+(when metrics are on). Fully disabled observability returns the shared
+no-op :data:`NULL_PROFILE`, so the hook can stay in hot paths
+permanently.
 """
 
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Any, Dict, Union
+from typing import TYPE_CHECKING, Any, Dict
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.observability import Observability
 
-__all__ = ["NULL_PROFILE", "ProfiledBlock", "profile"]
+__all__ = ["NULL_PROFILE", "ProfiledBlock"]
 
 
 class _NullProfile:
@@ -64,11 +66,3 @@ class ProfiledBlock:
             self._tracer.emit_span(self._name, self._ts, duration, fields)
         return False
 
-
-def profile(
-    obs: "Observability", name: str, **fields: Any
-) -> Union[ProfiledBlock, _NullProfile]:
-    """A context manager timing ``name`` into ``obs`` (no-op when off)."""
-    if not obs.enabled:
-        return NULL_PROFILE
-    return ProfiledBlock(obs, name, fields)

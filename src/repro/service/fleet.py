@@ -2,13 +2,11 @@
 running job, plus the per-job execution glue.
 
 The fabric does not own a private pool implementation — each job's
-shards are scheduled by :mod:`repro.core.parallel`, whose
-:class:`~repro.core.parallel.WorkerHandle` interface is where local
-worker processes (and, later, socket-attached remote workers) plug in.
-What the fleet adds on top is the *cross-job* resource arithmetic: a
-fixed budget of worker slots that concurrent jobs draw allocations
-from, so an oversubscribed box degrades to queueing instead of fork
-bombs.
+shards run on local worker processes scheduled by
+:mod:`repro.core.parallel`. What the fleet adds on top is the
+*cross-job* resource arithmetic: a fixed budget of worker slots that
+concurrent jobs draw allocations from, so an oversubscribed box
+degrades to queueing instead of fork bombs.
 
 Allocation policy: a job asking for ``n`` workers is granted
 ``min(n, free)`` — a nearly-saturated fleet still starts the next job

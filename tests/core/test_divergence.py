@@ -1,13 +1,13 @@
 """Tests for divergence-window execution and outcome memoization
 (repro.core.divergence + the algorithm-layer integration).
 
-Covers the memo table's hit/miss/merge/drain mechanics, the memo key's
+Covers memo entries (exact replay, fresh copies), the memo key's
 sensitivity to restore state and injection delta, the divergence
 window's early-exit behaviour on the real Thor target (byte-identical
 to full-tail execution, observable through the ``divergence.*``
 counters, disabled by the ``early_exit`` knob), the warm-restore
 strict-boundary regression (injection pinned exactly on checkpoint
-cadence), and memo sharing across parallel workers.
+cadence), and memoization and early exit inside parallel workers.
 """
 
 import multiprocessing
@@ -15,13 +15,8 @@ import multiprocessing
 import pytest
 
 from repro.core import create_target
-from repro.core.divergence import (
-    MemoEntry,
-    OutcomeMemo,
-    memo_key,
-    plan_delta,
-)
-from repro.core.experiment import ExperimentResult, Termination
+from repro.core.divergence import MemoEntry, memo_key, plan_delta
+from repro.core.experiment import ExperimentResult
 from repro.core.faultmodels import InjectionAction, InjectionPlan
 from repro.core.locations import FaultLocation
 from repro.core.triggers import TriggerSpec
@@ -84,71 +79,21 @@ class TestMemoKey:
 
 
 class TestOutcomeMemo:
-    def test_lookup_counts_hits_and_misses(self):
-        memo = OutcomeMemo()
-        key = memo_key(None, plan())
-        assert memo.lookup(key) is None
-        memo.record(key, entry())
-        assert memo.lookup(key) is not None
-        assert memo.hits == 1 and memo.misses == 1
-        assert len(memo) == 1
-
-    def test_record_ignores_duplicates(self):
-        memo = OutcomeMemo()
-        memo.record("k", entry(kind="halt"))
-        memo.record("k", entry(kind="trap"))
-        assert memo.lookup("k").termination["kind"] == "halt"
-        assert len(memo) == 1
-
-    def test_drain_new_returns_only_fresh_rows(self):
-        memo = OutcomeMemo()
-        memo.record("k1", entry())
-        rows = memo.drain_new()
-        assert [row["key"] for row in rows] == ["k1"]
-        assert memo.drain_new() == []
-        memo.record("k2", entry())
-        assert [row["key"] for row in memo.drain_new()] == ["k2"]
-
-    def test_merge_adopts_without_marking_new(self):
-        source, sink = OutcomeMemo(), OutcomeMemo()
-        source.record("k1", entry())
-        assert sink.merge(source.drain_new()) == 1
-        assert sink.lookup("k1") is not None
-        # Merged rows never echo back on the next drain.
-        assert sink.drain_new() == []
-        # Re-merging the same rows is a no-op.
-        source2 = OutcomeMemo()
-        source2.record("k1", entry(kind="trap"))
-        assert sink.merge(source2.drain_new()) == 0
-        assert sink.lookup("k1").termination["kind"] == "halt"
-
-    def test_rows_since_cursor(self):
-        memo = OutcomeMemo()
-        memo.record("k1", entry())
-        memo.record("k2", entry())
-        rows, cursor = memo.rows_since(0)
-        assert [row["key"] for row in rows] == ["k1", "k2"]
-        rows, cursor = memo.rows_since(cursor)
-        assert rows == []
-        memo.merge([{"key": "k3", "entry": entry().to_row()}])
-        rows, cursor = memo.rows_since(cursor)
-        assert [row["key"] for row in rows] == ["k3"]
-
     def test_entry_round_trip_and_fresh_copies(self):
         original = entry()
-        row = original.to_row()
-        restored = MemoEntry.from_row(row)
         result = ExperimentResult(name="e", index=0, campaign_name="c")
-        restored.apply(result)
+        original.apply(result)
         assert result.termination.kind == "halt"
         assert result.outputs == original.outputs
         assert result.state_vector == original.state_vector
         assert [i.to_dict() for i in result.injections] == original.injections
+        # Recording the replayed result gives back the same entry.
+        assert MemoEntry.from_result(result) == original
         # apply() hands out copies: mutating one result never leaks into
         # the shared entry or a second application.
         result.outputs["0x100"] = 999
         result2 = ExperimentResult(name="e2", index=1, campaign_name="c")
-        restored.apply(result2)
+        original.apply(result2)
         assert result2.outputs["0x100"] == 7
         assert result.termination is not result2.termination
 
@@ -402,40 +347,65 @@ class TestWarmRestoreBoundary:
     reason="parallel tests need the fork start method",
 )
 class TestParallelMemoSharing:
-    def test_parallel_rows_match_serial_and_memo_merges(self):
-        from repro.core.framework import worker_factory
-        from repro.core.parallel import ParallelConfig, run_parallel_campaign
+    """Workers memoize the experiments of their own shards and honour
+    ``ParallelConfig.early_exit``. One worker sees every shard, so its
+    merged ``worker0.*`` counters must equal the serial run's."""
 
-        duration = _reference_duration()
-        campaign = _late_trigger_campaign(
-            "memo-par", duration,
+    COUNTERS = ("divergence.memo_hits", "divergence.probes")
+
+    @staticmethod
+    def _campaign(name):
+        return _late_trigger_campaign(
+            name, _reference_duration(),
             location_patterns=["scan:internal/cpu.regfile.r1"],
             n_experiments=10,
         )
-        serial_target = create_target("thor-rd")
-        serial_rows = _rows(serial_target.run_campaign(campaign))
 
-        sink = run_parallel_campaign(
-            campaign,
-            worker_factory("thor-rd"),
-            config=ParallelConfig(n_workers=2, shard_size=2),
-        )
-        parallel_rows = _rows(sink)
-        assert sorted(parallel_rows) == sorted(serial_rows)
+    @staticmethod
+    def _with_metrics(run):
+        configure(metrics=True)
+        try:
+            sink = run()
+            counters = get_observability().metrics.snapshot()["counters"]
+        finally:
+            disable()
+        return sink, counters
 
-    def test_early_exit_off_propagates_to_workers(self):
+    @staticmethod
+    def _parallel(campaign, **config):
         from repro.core.framework import worker_factory
         from repro.core.parallel import ParallelConfig, run_parallel_campaign
 
-        duration = _reference_duration()
-        campaign = _late_trigger_campaign(
-            "memo-par-off", duration, n_experiments=4
-        )
-        sink = run_parallel_campaign(
+        return run_parallel_campaign(
             campaign,
             worker_factory("thor-rd"),
-            config=ParallelConfig(
-                n_workers=2, shard_size=2, early_exit=False
-            ),
+            config=ParallelConfig(shard_size=2, **config),
         )
-        assert len(sink.results) == 4
+
+    def test_parallel_rows_match_serial_and_memo_merges(self):
+        campaign = self._campaign("memo-par")
+        serial_sink, serial = self._with_metrics(
+            lambda: create_target("thor-rd").run_campaign(campaign)
+        )
+        assert serial["divergence.memo_hits"] > 0
+        assert serial["divergence.probes"] > 0
+
+        sink = self._parallel(campaign, n_workers=2)
+        assert sorted(_rows(sink)) == sorted(_rows(serial_sink))
+
+        _, merged = self._with_metrics(
+            lambda: self._parallel(campaign, n_workers=1)
+        )
+        for name in self.COUNTERS:
+            assert merged.get(f"worker0.{name}", 0) == serial[name], name
+
+    def test_early_exit_off_propagates_to_workers(self):
+        campaign = self._campaign("memo-par-off")
+        sink, merged = self._with_metrics(
+            lambda: self._parallel(campaign, n_workers=1, early_exit=False)
+        )
+        assert len(sink.results) == 10
+        # The worker's deltas did arrive; they just hold no memo or probe.
+        assert merged["worker0.experiments_total"] == 10
+        for name in self.COUNTERS:
+            assert merged.get(f"worker0.{name}", 0) == 0, name

@@ -19,9 +19,16 @@ from repro.core import (
     create_target,
     worker_factory,
 )
+from repro.core.algorithms import _ListSink, _NullControl
 from repro.core.framework import register_target, unregister_target
-from repro.core.parallel import canonical_experiment_rows, run_parallel_campaign
+from repro.core.parallel import (
+    _ParallelRun,
+    _Worker,
+    canonical_experiment_rows,
+    run_parallel_campaign,
+)
 from repro.db import GoofiDatabase
+from repro.observability import configure, disable, get_observability
 from repro.scifi.interface import ThorRDInterface
 from repro.util.errors import CampaignError
 from tests.conftest import make_campaign
@@ -196,6 +203,54 @@ class TestParallelController:
             db, campaign.campaign_name
         ) == canonical_experiment_rows(serial_db, campaign.campaign_name)
         serial_db.close()
+
+
+class TestDrainAfterStop:
+    """After End, messages already in a worker's pipe are read by
+    ``_drain_after_stop``. Fed through an in-process pipe, no worker
+    process runs."""
+
+    def _drain(self, *messages):
+        parent_conn, child_conn = multiprocessing.Pipe()
+        configure(metrics=True)
+        try:
+            run = _ParallelRun(
+                make_campaign(n_experiments=2),
+                worker_factory("thor-rd"),
+                _ListSink(),
+                _NullControl(),
+                fast_config(),
+                None,
+            )
+            worker = _Worker(0, parent_conn, process=None)
+            worker.dispatch([0, 1], timeout=None, verify=[])
+            run.workers = [worker]
+            for message in messages:
+                child_conn.send(message)
+            run._drain_after_stop()
+            counters = get_observability().metrics.snapshot()["counters"]
+        finally:
+            disable()
+            parent_conn.close()
+            child_conn.close()
+        return run, worker, counters
+
+    def test_drained_done_merges_the_metrics_delta(self):
+        delta = {
+            "counters": {"experiments_total": 2},
+            "gauges": {},
+            "histograms": {},
+        }
+        _, worker, counters = self._drain(("done", delta))
+        assert counters.get("worker0.experiments_total") == 2
+        assert not worker.busy
+        assert not worker.shard
+
+    def test_drained_error_only_leaves_the_shard(self):
+        run, worker, _ = self._drain(("error", 1, "boom"))
+        # Not retried and not logged as a failure: a resume re-runs it.
+        assert list(worker.shard) == [0]
+        assert not run.retry_queue and run.failures == 0
 
 
 class TestFailureHandling:

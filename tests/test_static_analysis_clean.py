@@ -1,12 +1,11 @@
 """Lint/type gate for the strictly-checked subsystems.
 
 Runs ``ruff check`` and ``mypy`` over the strictly-checked scope
-configured in pyproject.toml (``src/repro/staticanalysis/``, the
-pre-injection oracle, the parallel campaign engine, the campaign
-controller and the observability subsystem). Both tools are optional
-dependencies: when they are not installed the corresponding test is
-skipped, so the tier-1 suite stays runnable in minimal environments —
-the CI lint job hard-fails on the same commands instead.
+configured in pyproject.toml and checked by the CI lint job — the same
+paths, in the same order. Both tools are optional dependencies: when
+they are not installed the corresponding test is skipped, so the tier-1
+suite stays runnable in minimal environments — the CI lint job
+hard-fails on the same commands instead.
 """
 
 import importlib.util
@@ -23,9 +22,16 @@ CHECKED_PATHS = [
     "src/repro/core/parallel.py",
     "src/repro/core/controller.py",
     "src/repro/core/checkpoint.py",
+    "src/repro/core/divergence.py",
     "src/repro/core/goldencache.py",
+    "src/repro/service",
     "src/repro/util/sampling.py",
     "src/repro/observability",
+    "src/repro/analysis/intervals.py",
+    "src/repro/analysis/stopping.py",
+    "src/repro/analysis/heatmap.py",
+    "src/repro/analysis/engine.py",
+    "src/repro/analysis/diff.py",
 ]
 
 
