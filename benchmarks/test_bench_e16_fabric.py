@@ -4,22 +4,27 @@ Regenerates: the scaling/correctness study for the campaign fabric
 (``repro.service``, ``goofi serve``). A real :class:`FabricServer` —
 sockets, priority queue, scheduler, worker fleet — executes a
 three-campaign mixed-priority batch submitted through the REST client.
-The fleet is deliberately *oversubscribed* relative to the 1-core CI
-box (more worker slots than cores, more shards than workers), because
-that is the fabric's degradation story: saturation must queue and
-interleave, never fork-bomb or corrupt results. Each campaign is then
+The batch runs :data:`FABRIC_LEGS` times, each leg on a fresh server
+with its own database, and ``fabric_seconds`` is the fastest leg: the
+first leg in a process also pays one-time process warm-up, which a
+single timed leg would report as fabric cost. The fleet is deliberately
+*oversubscribed* relative to the 1-core CI box (more worker slots than
+cores, more shards than workers), because that is the fabric's
+degradation story: saturation must queue and interleave, never
+fork-bomb or corrupt results. Each campaign is then
 re-run serially through the classic path and the logged experiment rows
 are compared byte-for-byte (modulo the wall-clock field, via the shared
 :func:`~repro.service.schema.canonical_rows_payload` form).
 
 Shapes asserted:
 
-* every job of the batch finishes (none lost to the scheduler or the
-  fleet accounting) and logs exactly ``n_experiments`` rows;
-* the fabric's rows are byte-identical to serial execution for every
+* in every leg, every job of the batch finishes (none lost to the
+  scheduler or the fleet accounting) and logs exactly ``n_experiments``
+  rows;
+* every leg's rows are byte-identical to serial execution for every
   campaign — the determinism contract survives the whole service stack
   (HTTP, queue, fleet grants, concurrent sqlite writers);
-* fleet accounting returns to idle (no leaked worker slots).
+* every leg returns the fleet to idle (no leaked worker slots).
 
 Environment knobs:
 
@@ -53,6 +58,9 @@ N_EXPERIMENTS = scaled(48)
 #: Priorities cycle through the batch so the queue really reorders.
 PRIORITIES = (0, 5, 2)
 
+#: Timed runs of the whole batch; ``fabric_seconds`` is the fastest.
+FABRIC_LEGS = 5
+
 
 def _campaign(index):
     return CampaignData(
@@ -78,9 +86,9 @@ def _serial_rows(campaign, tmp_path, index):
 def test_bench_e16_fabric(benchmark, tmp_path):
     campaigns = [_campaign(index) for index in range(N_JOBS)]
 
-    def fabric_leg():
+    def fabric_leg(leg):
         config = ServiceConfig(
-            db_path=str(tmp_path / "fabric.db"),
+            db_path=str(tmp_path / f"fabric-{leg}.db"),
             total_workers=FLEET_WORKERS,
             start_method="fork",
             poll_seconds=0.02,
@@ -111,8 +119,10 @@ def test_bench_e16_fabric(benchmark, tmp_path):
             fleet = client.info()["fleet"]
         return statuses, rows, fleet, seconds
 
-    statuses, fabric_rows, fleet, fabric_seconds = benchmark.pedantic(
-        fabric_leg, rounds=1, iterations=1
+    legs = benchmark.pedantic(
+        lambda: [fabric_leg(leg) for leg in range(FABRIC_LEGS)],
+        rounds=1,
+        iterations=1,
     )
 
     t0 = time.perf_counter()
@@ -123,7 +133,9 @@ def test_bench_e16_fabric(benchmark, tmp_path):
     serial_seconds = time.perf_counter() - t0
 
     total = N_JOBS * N_EXPERIMENTS
-    rows_identical = fabric_rows == serial_rows
+    leg_seconds = [seconds for _, _, _, seconds in legs]
+    fabric_seconds = min(leg_seconds)
+    rows_identical = all(rows == serial_rows for _, rows, _, _ in legs)
     throughput = total / max(fabric_seconds, 1e-9)
 
     print()
@@ -131,8 +143,9 @@ def test_bench_e16_fabric(benchmark, tmp_path):
         f"E16: fabric batch of {N_JOBS} campaigns x {N_EXPERIMENTS} "
         f"experiments over a {FLEET_WORKERS}-slot fleet"
     )
-    print(f"  fabric: {fabric_seconds:8.3f} s "
-          f"({throughput:.1f} experiments/s)")
+    print(f"  fabric: {fabric_seconds:8.3f} s, fastest of {FABRIC_LEGS} "
+          f"({throughput:.1f} experiments/s); legs "
+          + ", ".join(f"{seconds:.3f}" for seconds in leg_seconds))
     print(f"  serial: {serial_seconds:8.3f} s")
     print(f"  rows byte-identical to serial: {rows_identical}")
 
@@ -149,13 +162,14 @@ def test_bench_e16_fabric(benchmark, tmp_path):
         },
     )
 
-    # Correctness gates: every job completed, every row matches serial.
-    for status in statuses:
-        assert status["state"] == "finished"
-        assert status["result"]["n_done"] == N_EXPERIMENTS
-    for rows in fabric_rows:
-        assert len(rows) == N_EXPERIMENTS
-    assert rows_identical
-    # The fleet returned every slot (no leaked grants).
-    assert fleet["busy_workers"] == 0
-    assert fleet["total_workers"] == FLEET_WORKERS
+    # Correctness gates, per leg: every job completed, every row matches
+    # serial, and the fleet returned every slot (no leaked grants).
+    for statuses, fabric_rows, fleet, _ in legs:
+        for status in statuses:
+            assert status["state"] == "finished"
+            assert status["result"]["n_done"] == N_EXPERIMENTS
+        for rows in fabric_rows:
+            assert len(rows) == N_EXPERIMENTS
+        assert fabric_rows == serial_rows
+        assert fleet["busy_workers"] == 0
+        assert fleet["total_workers"] == FLEET_WORKERS

@@ -1,22 +1,21 @@
-"""E18 — simulator-core throughput (vectorized vs reference dispatch).
+"""E18 — simulator-core throughput (shipped vs seed core).
 
 Regenerates: the acceleration study for the vectorized Thor execution
 core (array-backed memory, shared decode memo, fused per-opcode handler
 dispatch, batched scan shifts, zero-copy checkpoint digests). The same
-chip is driven twice — once with :attr:`repro.thor.cpu.Cpu.
-fast_dispatch` enabled (the default shipping configuration) and once
-bound to the retained reference core (the seed's straight-line
-decode/if-chain) — at two granularities:
+chip is driven twice — once on the shipped :meth:`repro.thor.cpu.Cpu.step`
+and once on the seed's straight-line decode/if-chain core, kept as a
+test oracle in ``tests/reference_core.py`` — at two granularities:
 
 * **micro** — raw simulated cycles per host second on a set of
   compute-shaped workloads, stepping the card directly with no campaign
   machinery. This isolates the fetch/decode/execute loop the tentpole
   rewrote;
 * **campaign** — an E1-shaped SCIFI campaign (reference run, scan reads,
-  injection, termination classification, logging) run end-to-end under
-  both dispatchers, reporting experiments per second and the wall-clock
+  injection, termination classification, logging) run end-to-end on
+  both cores, reporting experiments per second and the wall-clock
   ratio. The campaign legs also serve as a correctness gate: the logged
-  rows must be byte-identical across dispatchers (the property suite in
+  rows must be byte-identical across cores (the property suite in
   ``tests/properties/test_prop_core_equivalence.py`` pins the same
   invariant across random shapes).
 
@@ -31,20 +30,21 @@ Shapes asserted:
 Emits ``BENCH_e18_simcore.json`` next to the repo root.
 """
 
+import contextlib
 import math
 import time
 
 from benchmarks.conftest import FULL_SCALE, scaled, write_bench_json
 from repro.core import CampaignData, create_target
-from repro.thor.cpu import Cpu
 from repro.thor.testcard import TestCard
 from repro.workloads.library import get_workload
+from tests.reference_core import reference_core
 
 #: Compute-shaped workloads whose inner loops exercise the arithmetic,
 #: shift/logic, branch and memory handler families.
 MICRO_WORKLOADS = ("countprimes", "quicksort", "crc32", "matmul")
 
-#: Host-seconds of stepping per micro leg (kept small: 2 dispatchers x
+#: Host-seconds of stepping per micro leg (kept small: 2 cores x
 #: len(MICRO_WORKLOADS) legs run inside the benchmarks CI job).
 MICRO_WINDOW_SECONDS = 0.4
 
@@ -54,12 +54,15 @@ MICRO_CYCLE_BUDGET = 200_000
 N_EXPERIMENTS = scaled(40)
 
 
+def _core(fast):
+    """The shipped core, or the seed core for the duration of the block."""
+    return contextlib.nullcontext() if fast else reference_core()
+
+
 def _micro_leg(workload_name, fast):
-    """Simulated cycles per host second for one (workload, dispatcher)."""
+    """Simulated cycles per host second for one (workload, core)."""
     definition = get_workload(workload_name)
-    previous = Cpu.fast_dispatch
-    Cpu.fast_dispatch = fast
-    try:
+    with _core(fast):
         card = TestCard()
         total_cycles = 0
         t0 = time.perf_counter()
@@ -71,8 +74,6 @@ def _micro_leg(workload_name, fast):
             elapsed = time.perf_counter() - t0
             if elapsed >= MICRO_WINDOW_SECONDS:
                 return total_cycles / elapsed
-    finally:
-        Cpu.fast_dispatch = previous
 
 
 def _campaign():
@@ -108,15 +109,11 @@ def _canonical(sink):
 
 
 def _campaign_leg(fast):
-    previous = Cpu.fast_dispatch
-    Cpu.fast_dispatch = fast
-    try:
+    with _core(fast):
         target = create_target("thor-rd")
         t0 = time.perf_counter()
         sink = target.run_campaign(_campaign())
         seconds = time.perf_counter() - t0
-    finally:
-        Cpu.fast_dispatch = previous
     return _canonical(sink), seconds
 
 
@@ -154,7 +151,7 @@ def test_bench_e18_simcore(benchmark):
     rows_identical = fast_rows == ref_rows
 
     print()
-    print("E18: simulator-core throughput (fast vs reference dispatch)")
+    print("E18: simulator-core throughput (shipped vs seed core)")
     for name, metrics in micro_metrics.items():
         print(
             f"  micro {name:12s} fast "
@@ -184,7 +181,7 @@ def test_bench_e18_simcore(benchmark):
         },
     )
 
-    # Correctness gate at every scale: the dispatchers are
+    # Correctness gate at every scale: the two cores are
     # indistinguishable in the logged rows.
     assert len(fast_rows) == N_EXPERIMENTS
     assert rows_identical

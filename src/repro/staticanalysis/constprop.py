@@ -8,7 +8,7 @@ only its fall-through) edge, and code beyond it can be proven
 unreachable even though the plain CFG reaches it.
 
 The transfer functions replicate the CPU's own ALU semantics
-(:mod:`repro.thor.cpu`) — including ``_add_sub`` carry/overflow and the
+(:mod:`repro.thor.cpu`) — including add/subtract carry/overflow and the
 signed branch predicates — so a "constant" here is the value the real
 machine computes, not an approximation. Memory loads, ``POP`` values and
 unresolved indirect targets are conservatively unknown (bottom).
@@ -65,7 +65,8 @@ def _set_nz(result: int) -> Tuple[bool, bool]:
 
 
 def _add_sub(a: int, b: int, subtract: bool) -> Tuple[int, bool, bool]:
-    # Mirrors repro.thor.cpu._add_sub exactly.
+    # The CPU's add/subtract/compare handlers, exactly; both are pinned
+    # to Python arithmetic by tests/properties/test_prop_isa.py.
     if subtract:
         wide = a + to_unsigned(~b) + 1
         signed = to_signed(a) - to_signed(b)
@@ -103,8 +104,8 @@ def _arith_flags(result: int, carry: bool, overflow: bool) -> int:
 
 
 def _nz_flags(env: _Env, result: int) -> int:
-    # set_nz preserves C and V; if the incoming nibble is unknown the
-    # whole nibble stays unknown (C/V bits cannot be recovered).
+    # Z/N-only writes preserve C and V; if the incoming nibble is unknown
+    # the whole nibble stays unknown (C/V bits cannot be recovered).
     prior = env.get(FLAGS)
     if not isinstance(prior, int):
         return -1

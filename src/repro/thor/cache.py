@@ -209,18 +209,6 @@ class Cache:
         self.stats.misses += 1
         return 0
 
-    def invalidate_all(self) -> None:
-        for line in self.lines:
-            line.valid = False
-
-    # -- scan-chain access ----------------------------------------------------
-    # The scan chain exposes every stored bit of the arrays. These accessors
-    # are the raw state ports it uses; they perform no parity maintenance —
-    # that is the whole point: a scan write can create a parity violation.
-
-    def peek_line(self, index: int) -> CacheLine:
-        return self.lines[index]
-
     # -- checkpoint support ----------------------------------------------------
     # Snapshot/restore mutate the existing CacheLine objects in place (the
     # scan cells close over the cache object and index lines on access, so

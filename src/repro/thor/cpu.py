@@ -8,34 +8,27 @@ termination conditions); ``SYNC`` emits an iteration-boundary event used
 by the environment-simulator exchange; ``HALT`` terminates the workload
 normally.
 
-Two step implementations share the architectural semantics:
-
-* the **fast path** (:meth:`Cpu._step_fast`, default) fuses
-  fetch/decode/execute through a memoized ``word -> (instruction,
-  handler, cycle cost)`` table whose per-opcode handlers are validated
-  against :data:`repro.thor.isa.SEMANTICS`;
-* the **reference path** (:meth:`Cpu._step_reference`) keeps the
-  original straight-line decode + if-chain execute. It is not dead
-  code: the core-equivalence property suite and the E18 benchmark run
-  campaigns under both dispatchers and require byte-identical rows.
-
-Selection is per-instance at construction from the
-:attr:`Cpu.fast_dispatch` class attribute.
+:meth:`Cpu.step` fuses fetch/decode/execute through a memoized
+``word -> (instruction, handler, cycle cost)`` table whose per-opcode
+handlers are validated against :data:`repro.thor.isa.SEMANTICS`. The
+seed's straight-line decode + if-chain core it replaced is kept in the
+test suite (``tests/reference_core.py``) as the oracle it is held to:
+the lockstep and core-equivalence property tests and the E18 benchmark
+require identical state, events and campaign rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.thor import isa
 from repro.thor.cache import Cache, CacheParityError
-from repro.thor.isa import Instruction, IllegalOpcode, Opcode
+from repro.thor.isa import Instruction, Opcode
 from repro.thor.memory import IllegalAddress, Memory, MemoryBus
 from repro.thor.pipeline import PipelineLatches
 from repro.thor.registers import Psr, RegisterFile
 from repro.thor.traps import Trap, TrapEvent
-from repro.util.bits import to_signed, to_unsigned
 
 
 @dataclass(frozen=True)
@@ -92,22 +85,9 @@ class CpuHalted(Exception):
     """step() was called on a halted CPU."""
 
 
-@dataclass
-class _Next:
-    """Control-flow decision of the executing instruction."""
-
-    pc: int
-    taken: bool = False
-
-
 class Cpu:
     """One THOR-lite chip: registers, PSR, PC, pipeline latches, caches,
     memory, cycle/instruction counters."""
-
-    #: Class-level dispatcher selection, read once at construction.
-    #: Tests flip this to compare the handler-table fast path against
-    #: the reference decode/if-chain path on whole campaigns.
-    fast_dispatch: bool = True
 
     def __init__(self, config: Optional[CpuConfig] = None):
         self.config = config or CpuConfig()
@@ -146,12 +126,6 @@ class Cpu:
         self._uncached_base = self.config.uncached_base
         self._watchdog = self.config.watchdog_cycles
         self._regs = self.regs._regs
-        # Per-instance dispatcher binding (shadows nothing: ``step`` has
-        # no class-level def; both implementations stay addressable).
-        self.step: Callable[[], Optional[CpuEvent]] = (
-            self._step_fast if type(self).fast_dispatch
-            else self._step_reference
-        )
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -270,14 +244,14 @@ class Cpu:
 
     # -- execution ----------------------------------------------------------------
 
-    def _step_fast(self) -> Optional[CpuEvent]:
-        """Execute one instruction (fast path). Returns an event or None.
+    def step(self) -> Optional[CpuEvent]:
+        """Execute one instruction. Returns an event or None.
 
-        Semantically identical to :meth:`_step_reference` — including
-        trap ordering, partial-state effects of faulting instructions,
-        cycle/counter accounting and the ``last_exec`` record — but with
-        fetch/decode/execute fused through the memoized exec-entry table
-        and all per-step allocations removed.
+        Fetch/decode/execute are fused through the memoized exec-entry
+        table, with no per-step allocations. Trap ordering,
+        partial-state effects of faulting instructions, cycle/counter
+        accounting and the ``last_exec`` record match the seed core
+        (``tests/reference_core.py``) step for step.
         """
         if self.halted:
             raise CpuHalted("CPU is halted")
@@ -300,7 +274,7 @@ class Cpu:
                 return self._raise_trap(Trap.ICACHE_PARITY, detail=str(exc))
             if extra:
                 self.cycles += extra
-            pipeline.ir = word  # latch_fetch; ir_forced is already False
+            pipeline.ir = word  # ir_forced is already False
 
         # Decode + dispatch lookup (memoized per instruction word).
         entry = _EXEC_CACHE.get(word)
@@ -312,8 +286,8 @@ class Cpu:
                 )
         instr, handler, cost = entry
 
-        # Execute. The in-place reset mirrors the reference path's fresh
-        # LastExec() and must happen only once decode has succeeded.
+        # Execute. The in-place reset stands for a fresh LastExec() and
+        # must happen only once decode has succeeded.
         self.cycles += cost
         last = self.last_exec
         last.pc = 0
@@ -349,291 +323,17 @@ class Cpu:
             )
         return event
 
-    def _step_reference(self) -> Optional[CpuEvent]:
-        """Execute one instruction (reference path). Returns an event or
-        None. This is the seed implementation, kept as the semantic
-        oracle the fast path is property-tested against."""
-        if self.halted:
-            raise CpuHalted("CPU is halted")
-
-        start_pc = self.pc
-
-        # Fetch (through the I-cache, unless the scan chain forced the IR).
-        if self.pipeline.ir_forced:
-            word = self.pipeline.consume_forced_ir()
-            self.cycles += 0  # forced IR models an already-latched fetch
-        else:
-            if not 0 <= self.pc < self.config.memory_size:
-                return self._raise_trap(
-                    Trap.ILLEGAL_ADDRESS, detail=f"fetch from {self.pc:#x}"
-                )
-            try:
-                word, extra = self.icache.read(self.pc, self.bus)
-            except CacheParityError as exc:
-                return self._raise_trap(Trap.ICACHE_PARITY, detail=str(exc))
-            self.cycles += extra
-            self.pipeline.latch_fetch(word)
-
-        # Decode.
-        try:
-            instr = isa.decode(word)
-        except IllegalOpcode:
-            return self._raise_trap(
-                Trap.ILLEGAL_OPCODE, detail=f"word {word:#010x}"
-            )
-
-        # Execute.
-        self.cycles += isa.CYCLE_COST[instr.opcode]
-        try:
-            event, nxt = self._execute(instr)
-        except CacheParityError as exc:
-            return self._raise_trap(Trap.DCACHE_PARITY, detail=str(exc))
-        except IllegalAddress as exc:
-            return self._raise_trap(Trap.ILLEGAL_ADDRESS, detail=str(exc))
-
-        if event is not None and event.kind == "trap":
-            return event
-
-        if nxt.taken:
-            self.cycles += 1
-        self.pc = nxt.pc & isa.WORD_MASK
-        self.instret += 1
-        self.last_exec.pc = start_pc
-        self.last_exec.opcode = instr.opcode
-        self.last_exec.branch_taken = nxt.taken
-
-        if (
-            self.config.watchdog_cycles is not None
-            and self.cycles > self.config.watchdog_cycles
-        ):
-            return self._raise_trap(
-                Trap.WATCHDOG, detail=f"cycle budget {self.config.watchdog_cycles}"
-            )
-        return event
-
-    # -- per-opcode semantics -----------------------------------------------------
-
-    def _execute(self, instr: Instruction) -> Tuple[Optional[CpuEvent], _Next]:
-        op = instr.opcode
-        regs = self.regs
-        seq = _Next(pc=self.pc + 1)
-        self.last_exec = LastExec()
-
-        if op is Opcode.NOP:
-            return None, seq
-        if op is Opcode.HALT:
-            self.halted = True
-            return CpuEvent(kind="halt"), seq
-        if op is Opcode.SYNC:
-            self.iterations += 1
-            return CpuEvent(kind="sync", iteration=self.iterations), seq
-
-        if op in (Opcode.ADD, Opcode.SUB, Opcode.ADDI, Opcode.SUBI):
-            a = regs[instr.rs1]
-            if op in (Opcode.ADD, Opcode.SUB):
-                b = regs[instr.rs2]
-            else:
-                b = to_unsigned(instr.imm)
-            subtract = op in (Opcode.SUB, Opcode.SUBI)
-            result, carry, overflow = _add_sub(a, b, subtract)
-            regs[instr.rd] = result
-            self.psr.set_nz(result)
-            self.psr.c = carry
-            self.psr.v = overflow
-            if overflow and self.psr.overflow_enable:
-                return self._raise_trap(Trap.OVERFLOW), seq
-            return None, seq
-
-        if op in (Opcode.MUL, Opcode.MULI):
-            a = to_signed(regs[instr.rs1])
-            b = to_signed(regs[instr.rs2]) if op is Opcode.MUL else instr.imm
-            result = to_unsigned(a * b)
-            regs[instr.rd] = result
-            self.psr.set_nz(result)
-            return None, seq
-
-        if op in (Opcode.DIV, Opcode.MOD):
-            a = to_signed(regs[instr.rs1])
-            b = to_signed(regs[instr.rs2])
-            if b == 0:
-                return self._raise_trap(Trap.DIV_ZERO), seq
-            quotient = int(a / b)  # truncate toward zero
-            result = quotient if op is Opcode.DIV else a - quotient * b
-            regs[instr.rd] = to_unsigned(result)
-            self.psr.set_nz(regs[instr.rd])
-            return None, seq
-
-        if op in (Opcode.AND, Opcode.OR, Opcode.XOR,
-                  Opcode.ANDI, Opcode.ORI, Opcode.XORI):
-            a = regs[instr.rs1]
-            if op in (Opcode.AND, Opcode.OR, Opcode.XOR):
-                b = regs[instr.rs2]
-            else:
-                b = to_unsigned(instr.imm)
-            if op in (Opcode.AND, Opcode.ANDI):
-                result = a & b
-            elif op in (Opcode.OR, Opcode.ORI):
-                result = a | b
-            else:
-                result = a ^ b
-            regs[instr.rd] = result
-            self.psr.set_nz(result)
-            return None, seq
-
-        if op in (Opcode.SHL, Opcode.SHR, Opcode.SRA,
-                  Opcode.SHLI, Opcode.SHRI):
-            a = regs[instr.rs1]
-            if op in (Opcode.SHL, Opcode.SHR, Opcode.SRA):
-                amount = regs[instr.rs2] & 31
-            else:
-                amount = instr.imm & 31
-            if op in (Opcode.SHL, Opcode.SHLI):
-                result = to_unsigned(a << amount)
-            elif op in (Opcode.SHR, Opcode.SHRI):
-                result = a >> amount
-            else:  # SRA
-                result = to_unsigned(to_signed(a) >> amount)
-            regs[instr.rd] = result
-            self.psr.set_nz(result)
-            return None, seq
-
-        if op is Opcode.NOT:
-            result = to_unsigned(~regs[instr.rs1])
-            regs[instr.rd] = result
-            self.psr.set_nz(result)
-            return None, seq
-        if op is Opcode.MOV:
-            regs[instr.rd] = regs[instr.rs1]
-            self.psr.set_nz(regs[instr.rd])
-            return None, seq
-        if op is Opcode.LDI:
-            regs[instr.rd] = to_unsigned(instr.imm)
-            return None, seq
-        if op is Opcode.LUI:
-            regs[instr.rd] = to_unsigned(instr.imm << 14)
-            return None, seq
-
-        if op in (Opcode.CMP, Opcode.CMPI):
-            a = regs[instr.rs1]
-            b = regs[instr.rs2] if op is Opcode.CMP else to_unsigned(instr.imm)
-            result, carry, overflow = _add_sub(a, b, subtract=True)
-            self.psr.set_nz(result)
-            self.psr.c = carry
-            self.psr.v = overflow
-            return None, seq
-
-        if op is Opcode.LD:
-            address = to_unsigned(regs[instr.rs1] + instr.imm)
-            if address >= self.config.memory_size:
-                raise IllegalAddress(address, "load")
-            if address >= self.config.uncached_base:
-                value = self.bus.read(address)
-                self.cycles += 2  # uncached MMIO access
-            else:
-                value, extra = self.dcache.read(address, self.bus)
-                self.cycles += extra
-            regs[instr.rd] = value
-            self.pipeline.latch_memory(address, value)
-            self.last_exec.mem_address = address
-            self.last_exec.mem_value = value
-            return None, seq
-        if op is Opcode.ST:
-            address = to_unsigned(regs[instr.rs1] + instr.imm)
-            if address >= self.config.memory_size:
-                raise IllegalAddress(address, "store")
-            value = regs[instr.rd]
-            if address >= self.config.uncached_base:
-                self.bus.write(address, value)
-                self.cycles += 2  # uncached MMIO access
-            else:
-                self.cycles += self.dcache.write(address, value, self.bus)
-            self.pipeline.latch_memory(address, value)
-            self.last_exec.mem_address = address
-            self.last_exec.mem_value = value
-            self.last_exec.mem_is_write = True
-            return None, seq
-
-        if op is Opcode.PUSH:
-            sp = to_unsigned(regs[isa.REG_SP] - 1)
-            if sp >= self.config.memory_size:
-                raise IllegalAddress(sp, "push")
-            regs[isa.REG_SP] = sp
-            self.cycles += self.dcache.write(sp, regs[instr.rd], self.bus)
-            self.pipeline.latch_memory(sp, regs[instr.rd])
-            return None, seq
-        if op is Opcode.POP:
-            sp = regs[isa.REG_SP]
-            if sp >= self.config.memory_size:
-                raise IllegalAddress(sp, "pop")
-            value, extra = self.dcache.read(sp, self.bus)
-            self.cycles += extra
-            regs[instr.rd] = value
-            regs[isa.REG_SP] = to_unsigned(sp + 1)
-            self.pipeline.latch_memory(sp, value)
-            return None, seq
-
-        if op is Opcode.JMP:
-            return None, _Next(pc=instr.imm, taken=True)
-        if op is Opcode.JR:
-            return None, _Next(pc=regs[instr.rs1], taken=True)
-        if op is Opcode.CALL:
-            regs[isa.REG_LR] = to_unsigned(self.pc + 1)
-            return None, _Next(pc=instr.imm, taken=True)
-        if op is Opcode.RET:
-            return None, _Next(pc=regs[isa.REG_LR], taken=True)
-
-        if op in isa.BRANCHES:
-            taken = self._branch_taken(op)
-            if taken:
-                return None, _Next(pc=self.pc + 1 + instr.imm, taken=True)
-            return None, seq
-
-        if op is Opcode.TRAP:
-            return self._raise_trap(Trap.SOFTWARE, code=instr.imm), seq
-
-        raise AssertionError(f"unhandled opcode {op!r}")  # pragma: no cover
-
-    def _branch_taken(self, op: Opcode) -> bool:
-        psr = self.psr
-        if op is Opcode.BEQ:
-            return psr.z
-        if op is Opcode.BNE:
-            return not psr.z
-        if op is Opcode.BLT:
-            return psr.n != psr.v
-        if op is Opcode.BGE:
-            return psr.n == psr.v
-        if op is Opcode.BGT:
-            return (not psr.z) and psr.n == psr.v
-        if op is Opcode.BLE:
-            return psr.z or psr.n != psr.v
-        raise AssertionError(op)  # pragma: no cover
-
-
-def _add_sub(a: int, b: int, subtract: bool) -> Tuple[int, bool, bool]:
-    """32-bit add/subtract with carry and signed-overflow flags."""
-    if subtract:
-        wide = a + (to_unsigned(~b)) + 1
-        signed = to_signed(a) - to_signed(b)
-    else:
-        wide = a + b
-        signed = to_signed(a) + to_signed(b)
-    result = to_unsigned(wide)
-    carry = wide > isa.WORD_MASK
-    overflow = not (-(1 << 31) <= signed <= (1 << 31) - 1)
-    return result, carry, overflow
-
 
 # ---------------------------------------------------------------------------
-# Fast-dispatch handler table
+# Per-opcode handler table
 # ---------------------------------------------------------------------------
 # One module-level handler per opcode, each an inlined transcription of
-# the corresponding branch of Cpu._execute (the reference oracle). A
-# handler returns ``(event, next_pc, taken)``; ``next_pc`` is masked and
-# applied by the step loop unless the event is a trap. State-mutation
-# *order* is preserved exactly — e.g. PUSH updates SP before the D-cache
-# write that may raise on a protected page, so a trapping PUSH leaves
-# the same partial state under both dispatchers.
+# the corresponding branch of the seed core's if-chain (``_execute`` in
+# ``tests/reference_core.py``). A handler returns ``(event, next_pc,
+# taken)``; ``next_pc`` is masked and applied by the step loop unless the
+# event is a trap. State-mutation *order* is preserved exactly — e.g.
+# PUSH updates SP before the D-cache write that may raise on a protected
+# page, so a trapping PUSH leaves the seed core's partial state.
 
 _M32 = 0xFFFFFFFF
 _SIGN = 0x80000000
@@ -985,7 +685,7 @@ def _build_handlers() -> Dict[Opcode, _Handler]:
     # Derive coverage and control-flow agreement from the shared
     # semantics table rather than trusting the literals above.
     assert set(handlers) == set(isa.SEMANTICS), (
-        "fast-dispatch handler table must cover every opcode"
+        "handler table must cover every opcode"
     )
     branch_ops = {
         op for op, sem in isa.SEMANTICS.items()

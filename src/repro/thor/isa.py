@@ -197,14 +197,6 @@ class OperandSemantics:
     #   | "trap" | "jr" | "stack" | "cmp" | "cmpi" | "imm"
     fmt: str = "none"
 
-    @property
-    def is_control_flow(self) -> bool:
-        return self.flow not in (FLOW_NEXT,)
-
-    @property
-    def is_exit(self) -> bool:
-        return self.flow in (FLOW_HALT, FLOW_TRAP)
-
 
 def _alu_r3() -> OperandSemantics:
     return OperandSemantics(
@@ -312,9 +304,6 @@ class Instruction:
     rs1: int = 0
     rs2: int = 0
     imm: int = 0
-
-    def is_i_type(self) -> bool:
-        return self.opcode in I_TYPE
 
 
 class IllegalOpcode(ValueError):

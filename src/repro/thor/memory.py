@@ -172,8 +172,8 @@ class Memory:
 
         One ``tobytes`` of the whole store plus a memcmp-speed slice
         compare per page, instead of the former O(memory_size) per-word
-        Python scan (:meth:`_nonzero_pages_reference`, kept as the
-        regression-test oracle)."""
+        Python scan (kept as the regression-test oracle in
+        ``tests/reference_core.py``)."""
         raw = self._words.tobytes()
         page_bytes = PAGE_WORDS * self._words.itemsize
         zero_page = bytes(page_bytes)
@@ -182,16 +182,6 @@ class Memory:
             chunk = raw[page * page_bytes : (page + 1) * page_bytes]
             if chunk != zero_page and chunk.strip(b"\x00"):
                 pages.add(page)
-        return pages
-
-    def _nonzero_pages_reference(self) -> Set[int]:
-        """The original per-word scan; equality with
-        :meth:`nonzero_pages` is pinned by a regression test."""
-        pages: Set[int] = set()
-        words = self._words
-        for base in range(0, self.size, PAGE_WORDS):
-            if any(words[base : base + PAGE_WORDS]):
-                pages.add(base // PAGE_WORDS)
         return pages
 
     def read_page(self, page: int) -> Sequence[int]:

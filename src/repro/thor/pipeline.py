@@ -37,22 +37,10 @@ class PipelineLatches:
         self.mdr = 0
         self.ir_forced = False
 
-    def latch_fetch(self, word: int) -> None:
-        self.ir = word & WORD_MASK
-        self.ir_forced = False
-
     def force_ir(self, word: int) -> None:
         """Scan-chain write path: the next step consumes this word."""
         self.ir = word & WORD_MASK
         self.ir_forced = True
-
-    def consume_forced_ir(self) -> int:
-        self.ir_forced = False
-        return self.ir
-
-    def latch_memory(self, address: int, data: int) -> None:
-        self.mar = address & WORD_MASK
-        self.mdr = data & WORD_MASK
 
     # -- checkpoint support ------------------------------------------------
 

@@ -16,7 +16,7 @@ class RegisterFile:
     """Sixteen 32-bit general-purpose registers.
 
     The backing list is allocated once and only ever mutated in place:
-    the CPU's fast dispatch path aliases it (``Cpu._regs``) so handlers
+    the CPU's step loop aliases it (``Cpu._regs``) so handlers
     can hit the register file with single C-level list indexing. Every
     write path masks to ``WORD_MASK``, so the list invariantly holds
     values in ``[0, 2**32)``.
@@ -88,11 +88,6 @@ class Psr:
         # overflow_enable is configuration, preserved across reset by the
         # CPU (it re-applies its config after calling reset).
         self.overflow_enable = False
-
-    def set_nz(self, value: int) -> None:
-        value &= WORD_MASK
-        self.z = value == 0
-        self.n = bool(value & 0x80000000)
 
     def to_word(self) -> int:
         word = 0

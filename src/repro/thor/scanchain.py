@@ -18,7 +18,7 @@ operation counter, which the E1/E2 benchmarks use.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import rshift
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -187,13 +187,6 @@ class ScanChain:
 
     # -- checkpoint support ---------------------------------------------------
 
-    def capture_values(self) -> List[Tuple[str, int]]:
-        """Raw ``(path, value)`` pairs of every cell, **without** shift
-        accounting — host-side bookkeeping, not a TAP access, so it must
-        not perturb the scan cycle counters the E1/E2 benchmarks
-        measure."""
-        return [(slot.cell.path, slot.cell.reader()) for slot in self._slots]
-
     def capture_words(self) -> array:
         """Raw cell values in chain order as a contiguous ``array('Q')``,
         **without** shift accounting. Golden-run checkpointing hashes the
@@ -213,9 +206,6 @@ class ScanChain:
         if slot is None:
             raise TargetError(f"no scan cell {path!r} on chain {self.name!r}")
         return slot.cell
-
-    def has_cell(self, path: str) -> bool:
-        return path in self._by_path
 
     def index(self, path: str) -> int:
         """Position of cell ``path`` in chain order, i.e. in the list

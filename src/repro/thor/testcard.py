@@ -48,10 +48,6 @@ class DebugEvent:
     iteration: int = 0
     reason: str = ""
 
-    @property
-    def is_termination(self) -> bool:
-        return self.kind is not DebugEventKind.BREAKPOINT
-
     def describe(self) -> str:
         text = f"{self.kind.value} at pc={self.pc:#06x} cycle={self.cycle}"
         if self.trap is not None:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
 
 
 class Trap(enum.Enum):
@@ -23,10 +22,6 @@ class Trap(enum.Enum):
     DCACHE_PARITY = "dcache_parity"
     WATCHDOG = "watchdog"
     SOFTWARE = "software"
-
-    @property
-    def is_hardware_edm(self) -> bool:
-        return self is not Trap.SOFTWARE
 
 
 @dataclass(frozen=True)

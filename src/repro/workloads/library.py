@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.thor.assembler import Program, assemble
-from repro.util.bits import to_unsigned
 from repro.util.errors import ConfigurationError
 
 
@@ -77,11 +76,6 @@ def make_input_values(n: int, seed: int, lo: int = 0, hi: int = 9999) -> List[in
     """Deterministic pseudo-random workload input data."""
     rng = random.Random(seed)
     return [rng.randint(lo, hi) for _ in range(n)]
-
-
-def signed_words(values: List[int]) -> List[int]:
-    """Two's-complement encode a list of (possibly negative) integers."""
-    return [to_unsigned(v) for v in values]
 
 
 def build(source: str, origin: int = 0x100) -> Program:

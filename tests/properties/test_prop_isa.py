@@ -1,12 +1,12 @@
 """Property-based tests for ISA encode/decode and the CPU ALU."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro.staticanalysis import constprop
 from repro.thor import isa
-from repro.thor.cpu import _add_sub
+from repro.thor.cpu import Cpu, CpuConfig
 from repro.thor.isa import (
     ABSOLUTE_IMM,
-    I_TYPE,
     R_TYPE,
     Instruction,
     Opcode,
@@ -14,7 +14,7 @@ from repro.thor.isa import (
     decode,
     try_decode,
 )
-from repro.util.bits import to_signed, to_unsigned
+from repro.util.bits import to_signed
 
 registers = st.integers(min_value=0, max_value=15)
 words = st.integers(min_value=0, max_value=0xFFFFFFFF)
@@ -63,27 +63,75 @@ class TestEncodingProperties:
             assert decode(assemble_word(result)) == result
 
 
-class TestAluProperties:
-    @given(words, words)
-    def test_add_matches_python(self, a, b):
-        result, carry, overflow = _add_sub(a, b, subtract=False)
-        assert result == (a + b) & 0xFFFFFFFF
-        assert carry == (a + b > 0xFFFFFFFF)
+#: A small chip: each ALU example steps a fresh one.
+_ALU_CONFIG = CpuConfig(memory_size=256)
+
+
+def _step_alu(opcode, a, b):
+    """Run ``opcode r3, r1, r2`` on the shipped core with r1 = ``a`` and
+    r2 = ``b``; returns (r3, Z, N, C, V) after the step."""
+    cpu = Cpu(_ALU_CONFIG)
+    cpu.memory.poke(0, assemble_word(Instruction(opcode, rd=3, rs1=1, rs2=2)))
+    cpu.reset(entry=0)
+    cpu.regs[1] = a
+    cpu.regs[2] = b
+    assert cpu.step() is None
+    psr = cpu.psr
+    return cpu.regs[3], psr.z, psr.n, psr.c, psr.v
+
+
+def _constprop_alu(a, b, subtract):
+    """The same (result, Z, N, C, V) from the constant propagator's copy
+    of the add/subtract semantics."""
+    result, carry, overflow = constprop._add_sub(a, b, subtract)
+    nibble = constprop._arith_flags(result, carry, overflow)
+    return (result,) + tuple(bool(nibble & (1 << bit)) for bit in range(4))
+
+
+def _python_alu(a, b, subtract):
+    if subtract:
+        result = (a - b) & 0xFFFFFFFF
+        carry = a >= b  # no borrow
+        signed = to_signed(a) - to_signed(b)
+    else:
+        result = (a + b) & 0xFFFFFFFF
+        carry = a + b > 0xFFFFFFFF
         signed = to_signed(a) + to_signed(b)
-        assert overflow == not_in_range(signed)
+    return result, result == 0, result >= 1 << 31, carry, not_in_range(signed)
+
+
+class TestAluProperties:
+    # Explicit examples put each flag on its boundary: the 33-bit sum
+    # equal to 0xFFFFFFFF (no carry) and the signed result at -2**31 (no
+    # overflow) or one past either end of the range (overflow).
+    @given(words, words)
+    @example(0, 0xFFFFFFFF)
+    @example(0x7FFFFFFF, 1)
+    @example(0x80000000, 0x80000000)
+    @example(0xFFFFFFFF, 0x80000001)
+    def test_add_matches_python(self, a, b):
+        expected = _python_alu(a, b, subtract=False)
+        assert _step_alu(Opcode.ADD, a, b) == expected
+        assert _constprop_alu(a, b, subtract=False) == expected
 
     @given(words, words)
+    @example(0, 1)
+    @example(0x80000000, 0)
+    @example(0, 0x80000000)
+    @example(0x7FFFFFFF, 0xFFFFFFFF)
     def test_sub_matches_python(self, a, b):
-        result, carry, overflow = _add_sub(a, b, subtract=True)
-        assert result == (a - b) & 0xFFFFFFFF
-        signed = to_signed(a) - to_signed(b)
-        assert overflow == not_in_range(signed)
+        expected = _python_alu(a, b, subtract=True)
+        assert _step_alu(Opcode.SUB, a, b) == expected
+        # CMP sets the same flags and writes no register.
+        assert _step_alu(Opcode.CMP, a, b) == (0,) + expected[1:]
+        assert _constprop_alu(a, b, subtract=True) == expected
 
     @given(words)
     def test_sub_self_is_zero(self, a):
-        result, _, overflow = _add_sub(a, a, subtract=True)
-        assert result == 0
-        assert not overflow
+        expected = (0, True, False, True, False)
+        assert _step_alu(Opcode.SUB, a, a) == expected
+        assert _step_alu(Opcode.CMP, a, a) == expected
+        assert _constprop_alu(a, a, subtract=True) == expected
 
 
 def not_in_range(signed: int) -> bool:

@@ -5,8 +5,9 @@
 at every cold divergence-tracking start). The vectorized core replaces
 it with one ``tobytes`` plus a memcmp-speed compare per page; this suite
 pins the new implementation's page set to the retained slow reference
-(:meth:`Memory._nonzero_pages_reference`) across adversarial images, and
-covers the ``array``-backed page read/load round-trip it feeds.
+(:func:`tests.reference_core.nonzero_pages_reference`) across adversarial
+images, and covers the ``array``-backed page read/load round-trip it
+feeds.
 """
 
 import random
@@ -14,6 +15,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.thor.memory import PAGE_WORDS, Memory
+from tests.reference_core import nonzero_pages_reference
 
 
 def _fill(memory, writes):
@@ -25,7 +27,7 @@ class TestNonzeroPagesEquality:
     def test_empty_memory(self):
         memory = Memory(4096)
         assert memory.nonzero_pages() == set()
-        assert memory.nonzero_pages() == memory._nonzero_pages_reference()
+        assert memory.nonzero_pages() == nonzero_pages_reference(memory)
 
     def test_page_boundaries(self):
         memory = Memory(4 * PAGE_WORDS)
@@ -34,7 +36,7 @@ class TestNonzeroPagesEquality:
             memory.poke(address, 1)
             expected = {address // PAGE_WORDS}
             assert memory.nonzero_pages() == expected
-            assert memory._nonzero_pages_reference() == expected
+            assert nonzero_pages_reference(memory) == expected
 
     def test_short_final_page(self):
         # A size that is not a multiple of PAGE_WORDS: the final page is
@@ -43,14 +45,14 @@ class TestNonzeroPagesEquality:
         memory = Memory(size)
         memory.poke(size - 1, 0xDEADBEEF)
         assert memory.nonzero_pages() == {size // PAGE_WORDS}
-        assert memory.nonzero_pages() == memory._nonzero_pages_reference()
+        assert memory.nonzero_pages() == nonzero_pages_reference(memory)
 
     def test_write_then_clear_leaves_no_page(self):
         memory = Memory(2 * PAGE_WORDS)
         memory.poke(5, 77)
         memory.poke(5, 0)
         assert memory.nonzero_pages() == set()
-        assert memory.nonzero_pages() == memory._nonzero_pages_reference()
+        assert memory.nonzero_pages() == nonzero_pages_reference(memory)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -72,7 +74,7 @@ class TestNonzeroPagesEquality:
                 for _ in range(n_writes)
             ),
         )
-        assert memory.nonzero_pages() == memory._nonzero_pages_reference()
+        assert memory.nonzero_pages() == nonzero_pages_reference(memory)
 
     def test_nonzero_addresses_unchanged(self):
         memory = Memory(4 * PAGE_WORDS)

@@ -9,28 +9,16 @@ from repro.thor.pipeline import PipelineLatches
 class TestLatches:
     def test_reset(self):
         latches = PipelineLatches()
-        latches.latch_fetch(5)
-        latches.latch_memory(1, 2)
+        latches.force_ir(5)
+        latches.mar, latches.mdr = 1, 2
         latches.reset()
         assert (latches.ir, latches.mar, latches.mdr) == (0, 0, 0)
         assert not latches.ir_forced
 
-    def test_fetch_clears_forced(self):
-        latches = PipelineLatches()
-        latches.force_ir(7)
-        latches.latch_fetch(9)
-        assert not latches.ir_forced
-
     def test_values_masked(self):
         latches = PipelineLatches()
-        latches.latch_fetch(1 << 40)
+        latches.force_ir(1 << 40)
         assert latches.ir == 0
-
-    def test_consume_forced(self):
-        latches = PipelineLatches()
-        latches.force_ir(42)
-        assert latches.consume_forced_ir() == 42
-        assert not latches.ir_forced
 
 
 class TestForcedIrExecution:
