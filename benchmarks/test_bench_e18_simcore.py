@@ -1,23 +1,28 @@
 """E18 — simulator-core throughput (shipped vs seed core).
 
 Regenerates: the acceleration study for the vectorized Thor execution
-core (array-backed memory, shared decode memo, fused per-opcode handler
-dispatch, batched scan shifts, zero-copy checkpoint digests). The same
-chip is driven twice — once on the shipped :meth:`repro.thor.cpu.Cpu.step`
-and once on the seed's straight-line decode/if-chain core, kept as a
-test oracle in ``tests/reference_core.py`` — at two granularities:
+core (array-backed memory, shared decode memo, one per-opcode template
+table instantiated as the step path's execute functions and as compiled
+blocks of straight-line code, batched scan shifts, zero-copy checkpoint
+digests). The same chip is driven twice — once on the shipped core
+(:meth:`repro.thor.cpu.Cpu.run_block`, stepping where no block may run)
+and once on the seed's straight-line decode/if-chain core with blocks
+off, kept as a test oracle in ``tests/reference_core.py`` — at two
+granularities:
 
 * **micro** — raw simulated cycles per host second on a set of
-  compute-shaped workloads, stepping the card directly with no campaign
-  machinery. This isolates the fetch/decode/execute loop the tentpole
-  rewrote;
+  compute-shaped workloads, running the card directly with no campaign
+  machinery. This isolates the fetch/decode/execute loop; after a
+  leader's first entries its block is compiled and runs;
 * **campaign** — an E1-shaped SCIFI campaign (reference run, scan reads,
   injection, termination classification, logging) run end-to-end on
   both cores, reporting experiments per second and the wall-clock
   ratio. The campaign legs also serve as a correctness gate: the logged
   rows must be byte-identical across cores (the property suite in
   ``tests/properties/test_prop_core_equivalence.py`` pins the same
-  invariant across random shapes).
+  invariant across random shapes). At CI scale (8 experiments) this leg
+  is dominated by set-up — the traced reference run, which steps — so
+  blocks move it little.
 
 Shapes asserted:
 
@@ -41,10 +46,10 @@ from repro.workloads.library import get_workload
 from tests.reference_core import reference_core
 
 #: Compute-shaped workloads whose inner loops exercise the arithmetic,
-#: shift/logic, branch and memory handler families.
+#: shift/logic, branch and memory opcode families.
 MICRO_WORKLOADS = ("countprimes", "quicksort", "crc32", "matmul")
 
-#: Host-seconds of stepping per micro leg (kept small: 2 cores x
+#: Host-seconds of running per micro leg (kept small: 2 cores x
 #: len(MICRO_WORKLOADS) legs run inside the benchmarks CI job).
 MICRO_WINDOW_SECONDS = 0.4
 

@@ -8,27 +8,43 @@ termination conditions); ``SYNC`` emits an iteration-boundary event used
 by the environment-simulator exchange; ``HALT`` terminates the workload
 normally.
 
-:meth:`Cpu.step` fuses fetch/decode/execute through a memoized
-``word -> (instruction, handler, cycle cost)`` table whose per-opcode
-handlers are validated against :data:`repro.thor.isa.SEMANTICS`. The
-seed's straight-line decode + if-chain core it replaced is kept in the
-test suite (``tests/reference_core.py``) as the oracle it is held to:
-the lockstep and core-equivalence property tests and the E18 benchmark
+One table of per-opcode source templates (``_TEMPLATES``), checked
+against :data:`repro.thor.isa.SEMANTICS` at import, describes what every
+instruction does. It is instantiated twice: once per opcode, as the
+execute function :meth:`Cpu.step` dispatches to through a memoized
+``word -> (instruction, execute, cycle cost)`` table; and once per
+block of straight-line code in a loaded program image, as one generated
+function with operands, PCs and costs as constants, which
+:meth:`Cpu.run_block` runs when the test card allows it and the block's
+entry check passes. A block leaves exactly the state stepping through it
+leaves. The seed's decode + if-chain core is kept in the test suite
+(``tests/reference_core.py``) as the oracle both paths are held to: the
+lockstep and core-equivalence property tests and the E18 benchmark
 require identical state, events and campaign rows.
 """
 
 from __future__ import annotations
 
+import itertools
+import linecache
+import re
+import weakref
+import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.thor import isa
 from repro.thor.cache import Cache, CacheParityError
+from repro.thor.disasm import format_instruction
 from repro.thor.isa import Instruction, Opcode
 from repro.thor.memory import IllegalAddress, Memory, MemoryBus
 from repro.thor.pipeline import PipelineLatches
 from repro.thor.registers import Psr, RegisterFile
 from repro.thor.traps import Trap, TrapEvent
+from repro.util.bits import parity
+
+if TYPE_CHECKING:
+    from repro.thor.assembler import Program
 
 
 @dataclass(frozen=True)
@@ -79,6 +95,10 @@ class CpuEvent:
     kind: str
     trap: Optional[TrapEvent] = None
     iteration: int = 0
+
+
+#: What :meth:`Cpu.run_block` returns when no block may run at the PC.
+NO_BLOCK = CpuEvent(kind="no-block")
 
 
 class CpuHalted(Exception):
@@ -248,10 +268,11 @@ class Cpu:
         """Execute one instruction. Returns an event or None.
 
         Fetch/decode/execute are fused through the memoized exec-entry
-        table, with no per-step allocations. Trap ordering,
-        partial-state effects of faulting instructions, cycle/counter
-        accounting and the ``last_exec`` record match the seed core
-        (``tests/reference_core.py``) step for step.
+        table of per-opcode execute functions, with no per-step
+        allocations. Trap ordering, partial-state effects of faulting
+        instructions, cycle/counter accounting and the ``last_exec``
+        record match the seed core (``tests/reference_core.py``) step for
+        step.
         """
         if self.halted:
             raise CpuHalted("CPU is halted")
@@ -284,7 +305,7 @@ class Cpu:
                 return self._raise_trap(
                     Trap.ILLEGAL_OPCODE, detail=f"word {word:#010x}"
                 )
-        instr, handler, cost = entry
+        instr, execute, cost = entry
 
         # Execute. The in-place reset stands for a fresh LastExec() and
         # must happen only once decode has succeeded.
@@ -299,7 +320,7 @@ class Cpu:
         last.reg_reads = ()
         last.reg_writes = ()
         try:
-            event, next_pc, taken = handler(self, instr)
+            event, next_pc, taken = execute(self, instr)
         except CacheParityError as exc:
             return self._raise_trap(Trap.DCACHE_PARITY, detail=str(exc))
         except IllegalAddress as exc:
@@ -323,397 +344,585 @@ class Cpu:
             )
         return event
 
+    def run_block(self, blocks: "BlockTable", limit: int) -> Optional[CpuEvent]:
+        """Run the compiled block of ``blocks`` at the PC, if one may run.
+
+        Returns :data:`NO_BLOCK` when none may: the IR is forced, no block
+        is compiled at the PC, or the block declines at entry because its
+        worst-case cost would reach ``limit`` (the caller's next stop,
+        time-out or watchdog trap) or an I-cache line it fetches from does
+        not hold its words. Otherwise returns what stepping through the
+        block returns (a trap event or None), with the same state."""
+        if self.pipeline.ir_forced:
+            return NO_BLOCK
+        block = blocks.compiled.get(self.pc)
+        if block is None:
+            blocks.enter(self.pc)
+            return NO_BLOCK
+        return block(self, limit)
+
 
 # ---------------------------------------------------------------------------
-# Per-opcode handler table
+# Per-opcode templates
 # ---------------------------------------------------------------------------
-# One module-level handler per opcode, each an inlined transcription of
-# the corresponding branch of the seed core's if-chain (``_execute`` in
-# ``tests/reference_core.py``). A handler returns ``(event, next_pc,
-# taken)``; ``next_pc`` is masked and applied by the step loop unless the
-# event is a trap. State-mutation *order* is preserved exactly — e.g.
-# PUSH updates SP before the D-cache write that may raise on a protected
-# page, so a trapping PUSH leaves the seed core's partial state.
+# The one description of what each instruction does to the machine. A
+# template is Python source over the locals ``cpu``, ``regs`` (the
+# register list), ``psr``, ``pipeline``, ``last`` (``cpu.last_exec``),
+# ``dcache`` and ``bus``, with operand fields ``{rd}``, ``{rs1}``,
+# ``{rs2}``, ``{imm}``, ``{uimm}`` (``imm`` as an unsigned word),
+# ``{pc}`` and the configuration fields ``{memsize}`` and ``{mmio}``.
+# Four line macros end an instruction other than by falling through:
+# ``TRAP <args>`` (raise a trap), ``JUMP <target>``, ``BRANCH <cond>``
+# (to ``pc + 1 + imm``) and ``EVENT <expr>`` (surface a CPU event).
+# Each template is instantiated twice: once per opcode with operands read
+# from the decoded Instruction (what Cpu.step dispatches to), and once
+# per block instruction with operands, PC and costs as constants. State
+# writes keep their order: PUSH moves SP before its store, and a store
+# writes through before the cache checks its tag.
 
-_M32 = 0xFFFFFFFF
-_SIGN = 0x80000000
-_SP = isa.REG_SP
-_LR = isa.REG_LR
-
-_HandlerResult = Tuple[Optional[CpuEvent], int, bool]
-_Handler = Callable[["Cpu", Instruction], _HandlerResult]
-
-
-def _h_nop(cpu: "Cpu", instr: Instruction) -> _HandlerResult:
-    return None, cpu.pc + 1, False
-
-
-def _h_halt(cpu: "Cpu", instr: Instruction) -> _HandlerResult:
-    cpu.halted = True
-    return CpuEvent(kind="halt"), cpu.pc + 1, False
+_NZ = "psr.z = r == 0\npsr.n = r >= 0x80000000\n"
+_SIGNED_A = "a = regs[{rs1}]\nsa = a - 0x100000000 if a & 0x80000000 else a\n"
+_REG_B = "b = regs[{rs2}]\nsb = b - 0x100000000 if b & 0x80000000 else b\n"
+# An 18-bit immediate is its own signed value.
+_IMM_B = "b = {uimm}\nsb = {imm}\n"
+_V = "signed < -2147483648 or signed > 2147483647"
 
 
-def _h_sync(cpu: "Cpu", instr: Instruction) -> _HandlerResult:
-    cpu.iterations += 1
-    return CpuEvent(kind="sync", iteration=cpu.iterations), cpu.pc + 1, False
-
-
-def _addsub_handler(subtract: bool, immediate: bool) -> _Handler:
-    def handler(cpu: "Cpu", instr: Instruction) -> _HandlerResult:
-        regs = cpu._regs
-        a = regs[instr.rs1]
-        b = (instr.imm & _M32) if immediate else regs[instr.rs2]
-        sa = a - 0x100000000 if a & _SIGN else a
-        sb = b - 0x100000000 if b & _SIGN else b
-        if subtract:
-            wide = a + ((~b) & _M32) + 1
-            signed = sa - sb
-        else:
-            wide = a + b
-            signed = sa + sb
-        result = wide & _M32
-        regs[instr.rd] = result
-        psr = cpu.psr
-        psr.z = result == 0
-        psr.n = result >= _SIGN
-        psr.c = wide > _M32
-        overflow = signed < -2147483648 or signed > 2147483647
-        psr.v = overflow
-        if overflow and psr.overflow_enable:
-            return cpu._raise_trap(Trap.OVERFLOW), 0, False
-        return None, cpu.pc + 1, False
-
-    return handler
-
-
-def _mul_handler(immediate: bool) -> _Handler:
-    def handler(cpu: "Cpu", instr: Instruction) -> _HandlerResult:
-        regs = cpu._regs
-        a = regs[instr.rs1]
-        sa = a - 0x100000000 if a & _SIGN else a
-        if immediate:
-            sb = instr.imm
-        else:
-            b = regs[instr.rs2]
-            sb = b - 0x100000000 if b & _SIGN else b
-        result = (sa * sb) & _M32
-        regs[instr.rd] = result
-        psr = cpu.psr
-        psr.z = result == 0
-        psr.n = result >= _SIGN
-        return None, cpu.pc + 1, False
-
-    return handler
-
-
-def _divmod_handler(is_div: bool) -> _Handler:
-    def handler(cpu: "Cpu", instr: Instruction) -> _HandlerResult:
-        regs = cpu._regs
-        a = regs[instr.rs1]
-        b = regs[instr.rs2]
-        sa = a - 0x100000000 if a & _SIGN else a
-        sb = b - 0x100000000 if b & _SIGN else b
-        if sb == 0:
-            return cpu._raise_trap(Trap.DIV_ZERO), 0, False
-        quotient = int(sa / sb)  # truncate toward zero (reference idiom)
-        result = (quotient if is_div else sa - quotient * sb) & _M32
-        regs[instr.rd] = result
-        psr = cpu.psr
-        psr.z = result == 0
-        psr.n = result >= _SIGN
-        return None, cpu.pc + 1, False
-
-    return handler
-
-
-def _logic_handler(code: str, immediate: bool) -> _Handler:
-    is_and = code == "and"
-    is_or = code == "or"
-
-    def handler(cpu: "Cpu", instr: Instruction) -> _HandlerResult:
-        regs = cpu._regs
-        a = regs[instr.rs1]
-        b = (instr.imm & _M32) if immediate else regs[instr.rs2]
-        if is_and:
-            result = a & b
-        elif is_or:
-            result = a | b
-        else:
-            result = a ^ b
-        regs[instr.rd] = result
-        psr = cpu.psr
-        psr.z = result == 0
-        psr.n = result >= _SIGN
-        return None, cpu.pc + 1, False
-
-    return handler
-
-
-def _shift_handler(code: str, immediate: bool) -> _Handler:
-    is_shl = code == "shl"
-    is_shr = code == "shr"
-
-    def handler(cpu: "Cpu", instr: Instruction) -> _HandlerResult:
-        regs = cpu._regs
-        a = regs[instr.rs1]
-        amount = (instr.imm & 31) if immediate else (regs[instr.rs2] & 31)
-        if is_shl:
-            result = (a << amount) & _M32
-        elif is_shr:
-            result = a >> amount
-        else:  # SRA
-            sa = a - 0x100000000 if a & _SIGN else a
-            result = (sa >> amount) & _M32
-        regs[instr.rd] = result
-        psr = cpu.psr
-        psr.z = result == 0
-        psr.n = result >= _SIGN
-        return None, cpu.pc + 1, False
-
-    return handler
-
-
-def _h_not(cpu: "Cpu", instr: Instruction) -> _HandlerResult:
-    result = (~cpu._regs[instr.rs1]) & _M32
-    cpu._regs[instr.rd] = result
-    psr = cpu.psr
-    psr.z = result == 0
-    psr.n = result >= _SIGN
-    return None, cpu.pc + 1, False
-
-
-def _h_mov(cpu: "Cpu", instr: Instruction) -> _HandlerResult:
-    regs = cpu._regs
-    result = regs[instr.rs1]
-    regs[instr.rd] = result
-    psr = cpu.psr
-    psr.z = result == 0
-    psr.n = result >= _SIGN
-    return None, cpu.pc + 1, False
-
-
-def _h_ldi(cpu: "Cpu", instr: Instruction) -> _HandlerResult:
-    cpu._regs[instr.rd] = instr.imm & _M32
-    return None, cpu.pc + 1, False
-
-
-def _h_lui(cpu: "Cpu", instr: Instruction) -> _HandlerResult:
-    cpu._regs[instr.rd] = (instr.imm << 14) & _M32
-    return None, cpu.pc + 1, False
-
-
-def _cmp_handler(immediate: bool) -> _Handler:
-    def handler(cpu: "Cpu", instr: Instruction) -> _HandlerResult:
-        regs = cpu._regs
-        a = regs[instr.rs1]
-        b = (instr.imm & _M32) if immediate else regs[instr.rs2]
-        wide = a + ((~b) & _M32) + 1
-        result = wide & _M32
-        sa = a - 0x100000000 if a & _SIGN else a
-        sb = b - 0x100000000 if b & _SIGN else b
-        signed = sa - sb
-        psr = cpu.psr
-        psr.z = result == 0
-        psr.n = result >= _SIGN
-        psr.c = wide > _M32
-        psr.v = signed < -2147483648 or signed > 2147483647
-        return None, cpu.pc + 1, False
-
-    return handler
-
-
-def _h_ld(cpu: "Cpu", instr: Instruction) -> _HandlerResult:
-    address = (cpu._regs[instr.rs1] + instr.imm) & _M32
-    if address >= cpu._memory_size:
-        raise IllegalAddress(address, "load")
-    if address >= cpu._uncached_base:
-        value = cpu.bus.read(address)
-        cpu.cycles += 2  # uncached MMIO access
+def _add_sub(b: str, subtract: bool, write: bool = True) -> str:
+    """ADD/SUB/ADDI/SUBI, and CMP/CMPI when ``write`` is False."""
+    if subtract:
+        text = _SIGNED_A + b + (
+            "wide = a + ((~b) & 0xFFFFFFFF) + 1\nsigned = sa - sb\n"
+        )
     else:
-        value, extra = cpu.dcache.read(address, cpu.bus)
-        if extra:
-            cpu.cycles += extra
-    cpu._regs[instr.rd] = value
-    pipeline = cpu.pipeline
-    pipeline.mar = address
-    pipeline.mdr = value
-    last = cpu.last_exec
-    last.mem_address = address
-    last.mem_value = value
-    return None, cpu.pc + 1, False
+        text = _SIGNED_A + b + "wide = a + b\nsigned = sa + sb\n"
+    text += "r = wide & 0xFFFFFFFF\n"
+    if not write:
+        return text + _NZ + "psr.c = wide > 0xFFFFFFFF\npsr.v = " + _V + "\n"
+    return text + "regs[{rd}] = r\n" + _NZ + (
+        "psr.c = wide > 0xFFFFFFFF\n"
+        "overflow = " + _V + "\n"
+        "psr.v = overflow\n"
+        "if overflow and psr.overflow_enable:\n"
+        "    TRAP Trap.OVERFLOW\n"
+    )
 
 
-def _h_st(cpu: "Cpu", instr: Instruction) -> _HandlerResult:
-    regs = cpu._regs
-    address = (regs[instr.rs1] + instr.imm) & _M32
-    if address >= cpu._memory_size:
-        raise IllegalAddress(address, "store")
-    value = regs[instr.rd]
-    if address >= cpu._uncached_base:
-        cpu.bus.write(address, value)
-        cpu.cycles += 2  # uncached MMIO access
-    else:
-        cpu.dcache.write(address, value, cpu.bus)  # write buffer: 0 cycles
-    pipeline = cpu.pipeline
-    pipeline.mar = address
-    pipeline.mdr = value
-    last = cpu.last_exec
-    last.mem_address = address
-    last.mem_value = value
-    last.mem_is_write = True
-    return None, cpu.pc + 1, False
+def _div_mod(result: str) -> str:
+    return _SIGNED_A + _REG_B + (
+        "if sb == 0:\n"
+        "    TRAP Trap.DIV_ZERO\n"
+        "q = int(sa / sb)\n"  # truncates toward zero
+        "r = " + result + " & 0xFFFFFFFF\n"
+        "regs[{rd}] = r\n"
+    ) + _NZ
 
 
-def _h_push(cpu: "Cpu", instr: Instruction) -> _HandlerResult:
-    regs = cpu._regs
-    sp = (regs[_SP] - 1) & _M32
-    if sp >= cpu._memory_size:
-        raise IllegalAddress(sp, "push")
-    regs[_SP] = sp  # SP moves before a (possibly trapping) store
-    value = regs[instr.rd]
-    cpu.dcache.write(sp, value, cpu.bus)
-    pipeline = cpu.pipeline
-    pipeline.mar = sp
-    pipeline.mdr = value
-    return None, cpu.pc + 1, False
+def _alu(expression: str, prologue: str = "") -> str:
+    """A result ``r`` written to rd, with Z and N from it."""
+    return prologue + "r = " + expression + "\nregs[{rd}] = r\n" + _NZ
 
 
-def _h_pop(cpu: "Cpu", instr: Instruction) -> _HandlerResult:
-    regs = cpu._regs
-    sp = regs[_SP]
-    if sp >= cpu._memory_size:
-        raise IllegalAddress(sp, "pop")
-    value, extra = cpu.dcache.read(sp, cpu.bus)
-    if extra:
-        cpu.cycles += extra
-    regs[instr.rd] = value
-    regs[_SP] = (sp + 1) & _M32
-    pipeline = cpu.pipeline
-    pipeline.mar = sp
-    pipeline.mdr = value
-    return None, cpu.pc + 1, False
+def _branch(condition: str) -> str:
+    return "BRANCH " + condition + "\n"
 
 
-def _h_jmp(cpu: "Cpu", instr: Instruction) -> _HandlerResult:
-    return None, instr.imm, True
+_TEMPLATES: Dict[Opcode, str] = {
+    Opcode.NOP: "",
+    Opcode.HALT: "cpu.halted = True\nEVENT CpuEvent(kind='halt')\n",
+    Opcode.SYNC: (
+        "cpu.iterations += 1\n"
+        "EVENT CpuEvent(kind='sync', iteration=cpu.iterations)\n"
+    ),
+    Opcode.ADD: _add_sub(_REG_B, subtract=False),
+    Opcode.SUB: _add_sub(_REG_B, subtract=True),
+    Opcode.ADDI: _add_sub(_IMM_B, subtract=False),
+    Opcode.SUBI: _add_sub(_IMM_B, subtract=True),
+    Opcode.CMP: _add_sub(_REG_B, subtract=True, write=False),
+    Opcode.CMPI: _add_sub(_IMM_B, subtract=True, write=False),
+    Opcode.MUL: _alu("(sa * sb) & 0xFFFFFFFF", _SIGNED_A + _REG_B),
+    Opcode.MULI: _alu("(sa * {imm}) & 0xFFFFFFFF", _SIGNED_A),
+    Opcode.DIV: _div_mod("q"),
+    Opcode.MOD: _div_mod("(sa - q * sb)"),
+    Opcode.AND: _alu("regs[{rs1}] & regs[{rs2}]"),
+    Opcode.OR: _alu("regs[{rs1}] | regs[{rs2}]"),
+    Opcode.XOR: _alu("regs[{rs1}] ^ regs[{rs2}]"),
+    Opcode.ANDI: _alu("regs[{rs1}] & {uimm}"),
+    Opcode.ORI: _alu("regs[{rs1}] | {uimm}"),
+    Opcode.XORI: _alu("regs[{rs1}] ^ {uimm}"),
+    Opcode.SHL: _alu("(regs[{rs1}] << (regs[{rs2}] & 31)) & 0xFFFFFFFF"),
+    Opcode.SHR: _alu("regs[{rs1}] >> (regs[{rs2}] & 31)"),
+    Opcode.SRA: _alu("(sa >> (regs[{rs2}] & 31)) & 0xFFFFFFFF", _SIGNED_A),
+    Opcode.SHLI: _alu("(regs[{rs1}] << ({imm} & 31)) & 0xFFFFFFFF"),
+    Opcode.SHRI: _alu("regs[{rs1}] >> ({imm} & 31)"),
+    Opcode.NOT: _alu("(~regs[{rs1}]) & 0xFFFFFFFF"),
+    Opcode.MOV: _alu("regs[{rs1}]"),
+    Opcode.LDI: "regs[{rd}] = {uimm}\n",
+    Opcode.LUI: "regs[{rd}] = ({imm} << 14) & 0xFFFFFFFF\n",
+    Opcode.LD: (
+        "address = (regs[{rs1}] + {imm}) & 0xFFFFFFFF\n"
+        "if address >= {memsize}:\n"
+        "    raise IllegalAddress(address, 'load')\n"
+        "if address >= {mmio}:\n"
+        "    value = bus.read(address)\n"
+        "    cpu.cycles += 2\n"  # uncached MMIO access
+        "else:\n"
+        "    value, extra = dcache.read(address, bus)\n"
+        "    if extra:\n"
+        "        cpu.cycles += extra\n"
+        "regs[{rd}] = value\n"
+        "pipeline.mar = address\n"
+        "pipeline.mdr = value\n"
+        "last.mem_address = address\n"
+        "last.mem_value = value\n"
+    ),
+    Opcode.ST: (
+        "address = (regs[{rs1}] + {imm}) & 0xFFFFFFFF\n"
+        "if address >= {memsize}:\n"
+        "    raise IllegalAddress(address, 'store')\n"
+        "value = regs[{rd}]\n"
+        "if address >= {mmio}:\n"
+        "    bus.write(address, value)\n"
+        "    cpu.cycles += 2\n"  # uncached MMIO access
+        "else:\n"
+        "    dcache.write(address, value, bus)\n"  # write buffer: 0 cycles
+        "pipeline.mar = address\n"
+        "pipeline.mdr = value\n"
+        "last.mem_address = address\n"
+        "last.mem_value = value\n"
+        "last.mem_is_write = True\n"
+    ),
+    Opcode.PUSH: (
+        "sp = (regs[14] - 1) & 0xFFFFFFFF\n"
+        "if sp >= {memsize}:\n"
+        "    raise IllegalAddress(sp, 'push')\n"
+        "regs[14] = sp\n"
+        "value = regs[{rd}]\n"
+        "dcache.write(sp, value, bus)\n"
+        "pipeline.mar = sp\n"
+        "pipeline.mdr = value\n"
+    ),
+    Opcode.POP: (
+        "sp = regs[14]\n"
+        "if sp >= {memsize}:\n"
+        "    raise IllegalAddress(sp, 'pop')\n"
+        "value, extra = dcache.read(sp, bus)\n"
+        "if extra:\n"
+        "    cpu.cycles += extra\n"
+        "regs[{rd}] = value\n"
+        "regs[14] = (sp + 1) & 0xFFFFFFFF\n"
+        "pipeline.mar = sp\n"
+        "pipeline.mdr = value\n"
+    ),
+    Opcode.JMP: "JUMP {imm}\n",
+    Opcode.JR: "JUMP regs[{rs1}]\n",
+    Opcode.CALL: "regs[15] = ({pc} + 1) & 0xFFFFFFFF\nJUMP {imm}\n",
+    Opcode.RET: "JUMP regs[15]\n",
+    Opcode.BEQ: _branch("psr.z"),
+    Opcode.BNE: _branch("not psr.z"),
+    Opcode.BLT: _branch("psr.n != psr.v"),
+    Opcode.BGE: _branch("psr.n == psr.v"),
+    Opcode.BGT: _branch("(not psr.z) and psr.n == psr.v"),
+    Opcode.BLE: _branch("psr.z or psr.n != psr.v"),
+    Opcode.TRAP: "TRAP Trap.SOFTWARE, code={imm}\n",
+}
 
+# Control transfers end a block; the opcodes that surface an event or
+# raise a software trap never run inside one.
+_TRANSFERS = {
+    op for op, sem in isa.SEMANTICS.items()
+    if sem.flow in (
+        isa.FLOW_BRANCH, isa.FLOW_JUMP, isa.FLOW_CALL, isa.FLOW_RETURN,
+        isa.FLOW_INDIRECT,
+    )
+}
+_STEP_ONLY = {
+    op for op, sem in isa.SEMANTICS.items()
+    if sem.flow in (isa.FLOW_HALT, isa.FLOW_TRAP) or "EVENT " in _TEMPLATES[op]
+}
 
-def _h_jr(cpu: "Cpu", instr: Instruction) -> _HandlerResult:
-    return None, cpu._regs[instr.rs1], True
+# Derive coverage and control-flow agreement from the shared semantics
+# table rather than trusting the literals above.
+assert set(_TEMPLATES) == set(isa.SEMANTICS), (
+    "template table must cover every opcode"
+)
+assert {op for op, text in _TEMPLATES.items() if "BRANCH " in text} == {
+    op for op, sem in isa.SEMANTICS.items() if sem.flow == isa.FLOW_BRANCH
+}, "branch templates out of sync with isa.SEMANTICS"
+assert {
+    op for op, text in _TEMPLATES.items()
+    if "BRANCH " in text or "JUMP " in text
+} == _TRANSFERS, "transfer templates out of sync with isa.SEMANTICS"
 
-
-def _h_call(cpu: "Cpu", instr: Instruction) -> _HandlerResult:
-    cpu._regs[_LR] = (cpu.pc + 1) & _M32
-    return None, instr.imm, True
-
-
-def _h_ret(cpu: "Cpu", instr: Instruction) -> _HandlerResult:
-    return None, cpu._regs[_LR], True
-
-
-def _h_trap(cpu: "Cpu", instr: Instruction) -> _HandlerResult:
-    return cpu._raise_trap(Trap.SOFTWARE, code=instr.imm), 0, False
-
-
-# Branch predicates over the PSR, used to generate one handler per
-# conditional branch; coverage is derived from isa.SEMANTICS below.
-_BRANCH_PREDICATES: Dict[Opcode, Callable[[Psr], bool]] = {
-    Opcode.BEQ: lambda psr: psr.z,
-    Opcode.BNE: lambda psr: not psr.z,
-    Opcode.BLT: lambda psr: psr.n != psr.v,
-    Opcode.BGE: lambda psr: psr.n == psr.v,
-    Opcode.BGT: lambda psr: (not psr.z) and psr.n == psr.v,
-    Opcode.BLE: lambda psr: psr.z or psr.n != psr.v,
+#: The template locals, bound at the top of a generated function when
+#: its body names them.
+_LOCALS = {
+    "regs": "cpu._regs",
+    "psr": "cpu.psr",
+    "pipeline": "cpu.pipeline",
+    "last": "cpu.last_exec",
+    "dcache": "cpu.dcache",
+    "bus": "cpu.bus",
 }
 
 
-def _branch_handler(predicate: Callable[[Psr], bool]) -> _Handler:
-    def handler(cpu: "Cpu", instr: Instruction) -> _HandlerResult:
-        if predicate(cpu.psr):
-            return None, cpu.pc + 1 + instr.imm, True
-        return None, cpu.pc + 1, False
+def _block_trap(cpu: Cpu, leader: int, index: int, words: Tuple[int, ...],
+                costs: Tuple[int, ...], trap: Trap,
+                detail: str = "") -> CpuEvent:
+    """Leave a block whose ``index``-th instruction traps, in the state
+    stepping leaves: that instruction's cycles charged, ``pc`` and ``ir``
+    naming it, its fetch counted as a hit but not retired, and
+    ``last_exec`` reset."""
+    cpu.cycles += costs[index]
+    cpu.pc = leader + index
+    cpu.pipeline.ir = words[index]
+    cpu.icache.stats.hits += index + 1
+    cpu.instret += index
+    last = cpu.last_exec
+    last.pc = 0
+    last.opcode = None
+    last.branch_taken = False
+    last.mem_address = None
+    last.mem_value = None
+    last.mem_is_write = False
+    last.reg_reads = ()
+    last.reg_writes = ()
+    return cpu._raise_trap(trap, detail=detail)
 
-    return handler
+
+#: Names the generated code refers to besides its locals.
+_NAMESPACE = {
+    "CacheParityError": CacheParityError,
+    "CpuEvent": CpuEvent,
+    "IllegalAddress": IllegalAddress,
+    "NO_BLOCK": NO_BLOCK,
+    "Opcode": Opcode,
+    "Trap": Trap,
+    "_block_trap": _block_trap,
+}
 
 
-def _build_handlers() -> Dict[Opcode, _Handler]:
-    handlers: Dict[Opcode, _Handler] = {
-        Opcode.NOP: _h_nop,
-        Opcode.HALT: _h_halt,
-        Opcode.SYNC: _h_sync,
-        Opcode.ADD: _addsub_handler(subtract=False, immediate=False),
-        Opcode.SUB: _addsub_handler(subtract=True, immediate=False),
-        Opcode.ADDI: _addsub_handler(subtract=False, immediate=True),
-        Opcode.SUBI: _addsub_handler(subtract=True, immediate=True),
-        Opcode.MUL: _mul_handler(immediate=False),
-        Opcode.MULI: _mul_handler(immediate=True),
-        Opcode.DIV: _divmod_handler(is_div=True),
-        Opcode.MOD: _divmod_handler(is_div=False),
-        Opcode.AND: _logic_handler("and", immediate=False),
-        Opcode.OR: _logic_handler("or", immediate=False),
-        Opcode.XOR: _logic_handler("xor", immediate=False),
-        Opcode.ANDI: _logic_handler("and", immediate=True),
-        Opcode.ORI: _logic_handler("or", immediate=True),
-        Opcode.XORI: _logic_handler("xor", immediate=True),
-        Opcode.SHL: _shift_handler("shl", immediate=False),
-        Opcode.SHR: _shift_handler("shr", immediate=False),
-        Opcode.SRA: _shift_handler("sra", immediate=False),
-        Opcode.SHLI: _shift_handler("shl", immediate=True),
-        Opcode.SHRI: _shift_handler("shr", immediate=True),
-        Opcode.NOT: _h_not,
-        Opcode.MOV: _h_mov,
-        Opcode.LDI: _h_ldi,
-        Opcode.LUI: _h_lui,
-        Opcode.CMP: _cmp_handler(immediate=False),
-        Opcode.CMPI: _cmp_handler(immediate=True),
-        Opcode.LD: _h_ld,
-        Opcode.ST: _h_st,
-        Opcode.PUSH: _h_push,
-        Opcode.POP: _h_pop,
-        Opcode.JMP: _h_jmp,
-        Opcode.JR: _h_jr,
-        Opcode.CALL: _h_call,
-        Opcode.RET: _h_ret,
-        Opcode.TRAP: _h_trap,
-    }
-    handlers.update(
-        {
-            op: _branch_handler(predicate)
-            for op, predicate in _BRANCH_PREDICATES.items()
-        }
+def _expand(template: str, fields: Dict[str, str], macros: Dict[str, str],
+            indent: str) -> List[str]:
+    """Instantiate ``template``: fill its fields, then replace each macro
+    line by ``macros[name]`` (filled with ``arg`` and the fields) at the
+    line's indentation."""
+    out = []
+    for line in template.format_map(fields).splitlines():
+        text = line.lstrip()
+        pad = indent + line[: len(line) - len(text)]
+        name, _, arg = text.partition(" ")
+        if name in macros:
+            expansion = macros[name].format_map(dict(fields, arg=arg))
+            out.extend(pad + part for part in expansion.splitlines())
+        else:
+            out.append(pad + text)
+    return out
+
+
+def _compile(source: str, filename: str, name: str) -> Callable:
+    """Compile generated source under ``filename``, registered with
+    linecache so tracebacks and profiles show its lines."""
+    linecache.cache[filename] = (
+        len(source), None, source.splitlines(True), filename
     )
-    # Derive coverage and control-flow agreement from the shared
-    # semantics table rather than trusting the literals above.
-    assert set(handlers) == set(isa.SEMANTICS), (
-        "handler table must cover every opcode"
-    )
-    branch_ops = {
-        op for op, sem in isa.SEMANTICS.items()
-        if sem.flow == isa.FLOW_BRANCH
-    }
-    assert branch_ops == set(_BRANCH_PREDICATES), (
-        "branch predicates out of sync with isa.SEMANTICS"
-    )
-    return handlers
+    namespace = dict(_NAMESPACE)
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace[name]
 
 
-_HANDLERS: Dict[Opcode, _Handler] = _build_handlers()
-_COST: Dict[Opcode, int] = dict(isa.CYCLE_COST)
+# -- per-opcode execute functions (the step path) -------------------------------
 
-#: Memoized fused-dispatch entries: instruction word ->
-#: (frozen Instruction, handler, base cycle cost). Shares the decode
-#: memo's no-poisoning property — illegal words never get an entry — and
-#: the same clear-on-full size bound.
-_EXEC_CACHE: Dict[int, Tuple[Instruction, _Handler, int]] = {}
+_STEP_FIELDS = {
+    "rd": "instr.rd",
+    "rs1": "instr.rs1",
+    "rs2": "instr.rs2",
+    "imm": "instr.imm",
+    "uimm": "(instr.imm & 0xFFFFFFFF)",
+    "pc": "cpu.pc",
+    "memsize": "cpu._memory_size",
+    "mmio": "cpu._uncached_base",
+}
+_FALL_THROUGH = "return None, {pc} + 1, False"
+_STEP_MACROS = {
+    "TRAP": "return cpu._raise_trap({arg}), 0, False",
+    "JUMP": "return None, {arg}, True",
+    "BRANCH": "if {arg}:\n    return None, {pc} + 1 + {imm}, True\n"
+    + _FALL_THROUGH,
+    "EVENT": "return {arg}, {pc} + 1, False",
+}
+
+
+def _execute_source(op: Opcode) -> str:
+    template = _TEMPLATES[op]
+    last_line = (template.splitlines() or [""])[-1]
+    if last_line.split(" ")[0] not in _STEP_MACROS:
+        template += _FALL_THROUGH + "\n"
+    body = _expand(template, _STEP_FIELDS, _STEP_MACROS, "    ")
+    prologue = [
+        f"    {name} = {source}" for name, source in _LOCALS.items()
+        if re.search(rf"\b{name}\b", template)
+    ]
+    return "\n".join(["def execute(cpu, instr):"] + prologue + body) + "\n"
+
+
+#: Opcode -> ``execute(cpu, instr) -> (event, next_pc, taken)``; the step
+#: loop masks and applies ``next_pc`` unless the event is a trap.
+_EXECUTE: Dict[Opcode, Callable] = {
+    op: _compile(_execute_source(op), f"<thor-op {op.name}>", "execute")
+    for op in Opcode
+}
+
+#: Memoized step entries: instruction word -> (frozen Instruction,
+#: execute function, base cycle cost). Shares the decode memo's
+#: no-poisoning property — illegal words never get an entry — and the
+#: same clear-on-full size bound.
+_EXEC_CACHE: Dict[int, Tuple[Instruction, Callable, int]] = {}
 _EXEC_CACHE_MAX = 1 << 16
 
 
-def _exec_entry(word: int) -> Optional[Tuple[Instruction, _Handler, int]]:
+def _exec_entry(word: int) -> Optional[Tuple[Instruction, Callable, int]]:
     instr = isa.try_decode(word)
     if instr is None:
         return None
-    entry = (instr, _HANDLERS[instr.opcode], _COST[instr.opcode])
+    entry = (instr, _EXECUTE[instr.opcode], isa.CYCLE_COST[instr.opcode])
     if len(_EXEC_CACHE) >= _EXEC_CACHE_MAX:
         _EXEC_CACHE.clear()
     _EXEC_CACHE[word] = entry
     return entry
+
+
+# -- blocks ------------------------------------------------------------------------
+
+#: A leader steps until its ``_COMPILE_AFTER``-th entry, then runs as a
+#: block: about one compile (~0.7 ms) of stepped blocks (~10 us each).
+_COMPILE_AFTER = 48
+
+_BLOCK_MACROS = {
+    "TRAP": "return _block_trap(cpu, {leader}, {index}, WORDS, COSTS, {arg})",
+    "JUMP": "cpu.pc = ({arg}) & 0xFFFFFFFF\ntaken = True",
+    "BRANCH": "if {arg}:\n"
+    "    cpu.pc = ({pc} + 1 + {imm}) & 0xFFFFFFFF\n"
+    "    taken = True\n"
+    "else:\n"
+    "    cpu.pc = {pc} + 1\n"
+    "    taken = False",
+}
+
+
+class BlockTable:
+    """The blocks of one program image under one :class:`CpuConfig`.
+
+    A block starts at a leader — the entry point, a branch, JMP or CALL
+    target, or the address after a control transfer, HALT, SYNC, TRAP or
+    illegal word — and runs through the first control transfer. HALT,
+    SYNC, TRAP, an illegal word and any non-code address end it before
+    that word. Compiled blocks read all machine state from the ``cpu``
+    they run on, so one table serves every card with the same image and
+    configuration.
+    """
+
+    def __init__(self, program: Program, config: CpuConfig):
+        self.config = config
+        self.code = {
+            address: word for address, word in program.words.items()
+            if program.kinds.get(address) == "code"
+        }
+        leaders = {program.entry}
+        for address, word in self.code.items():
+            instr = isa.try_decode(word)
+            if instr is None:
+                leaders.add(address + 1)
+                continue
+            if instr.opcode in _STEP_ONLY or instr.opcode in _TRANSFERS:
+                leaders.add(address + 1)
+            if instr.opcode in isa.BRANCHES:
+                leaders.add(address + 1 + instr.imm)
+            elif instr.opcode in (Opcode.JMP, Opcode.CALL):
+                leaders.add(instr.imm)
+        self.leaders = frozenset(a for a in leaders if a in self.code)
+        #: Leader -> compiled block.
+        self.compiled: Dict[int, Callable] = {}
+        self._entries = {
+            leader: 0 for leader in self.leaders if self.extent(leader)
+        }
+
+    def extent(self, leader: int) -> List[Tuple[int, int, Instruction]]:
+        """``(address, word, instruction)`` of each instruction of the
+        block at ``leader``; empty when no block can start there. A block
+        spans at most as many lines as the I-cache holds."""
+        config = self.config
+        first_line = leader // config.words_per_line
+        out = []
+        address = leader
+        while (
+            address in self.code
+            and address < config.memory_size
+            and address // config.words_per_line - first_line
+            < config.icache_lines
+        ):
+            word = self.code[address]
+            instr = isa.try_decode(word)
+            if instr is None or instr.opcode in _STEP_ONLY:
+                break
+            out.append((address, word, instr))
+            if instr.opcode in _TRANSFERS:
+                break
+            address += 1
+        return out
+
+    def enter(self, pc: int) -> None:
+        """Count an entry at ``pc`` that found no compiled block; the
+        ``_COMPILE_AFTER``-th entry at a leader compiles its block."""
+        count = self._entries.get(pc)
+        if count is None:
+            return
+        if count + 1 < _COMPILE_AFTER:
+            self._entries[pc] = count + 1
+            return
+        del self._entries[pc]
+        source = _block_source(pc, self.extent(pc), self.config)
+        # Images and configurations differ in what a block at one
+        # address holds; the source digest keeps their lines apart.
+        self.compiled[pc] = _compile(
+            source,
+            f"<thor-block {pc:#06x} {zlib.crc32(source.encode()):08x}>",
+            "block",
+        )
+
+
+def _block_source(leader: int, instrs: List[Tuple[int, int, Instruction]],
+                  config: CpuConfig) -> str:
+    """One function for the block: entry checks, then every instruction's
+    template with its operands, PC and costs as constants."""
+    words_per_line = config.words_per_line
+    offset_bits = words_per_line.bit_length() - 1
+    tag_shift = offset_bits + config.icache_lines.bit_length() - 1
+    costs = list(itertools.accumulate(
+        isa.CYCLE_COST[instr.opcode] for _, _, instr in instrs
+    ))
+    max_cost = costs[-1] + (instrs[-1][2].opcode in _TRANSFERS)
+    for _, _, instr in instrs:
+        sem = isa.SEMANTICS[instr.opcode]
+        max_cost += max(
+            config.miss_penalty if sem.mem == isa.MEM_LOAD else 0,
+            2 if "{mmio}" in _TEMPLATES[instr.opcode] else 0,
+        )
+    lines = [
+        f"WORDS = {tuple(word for _, word, _ in instrs)!r}",
+        f"COSTS = {tuple(costs)!r}",
+        "",
+        "",
+        "def block(cpu, limit):",
+        f"    if cpu.cycles + {max_cost} >= limit:",
+        "        return NO_BLOCK",
+        "    lines = cpu.icache.lines",
+    ]
+    # Entry check: every line the block fetches from is valid and holds
+    # the block's tag and words with their parity, so stepping would hit
+    # on exactly the compiled words.
+    for line_no, group in itertools.groupby(
+        instrs, key=lambda item: item[0] >> offset_bits
+    ):
+        tag = line_no << offset_bits >> tag_shift
+        checks = [
+            "line.valid",
+            f"line.tag == {tag}",
+            f"line.tag_parity == {parity(tag)}",
+        ]
+        for address, word, _ in group:
+            offset = address & (words_per_line - 1)
+            checks.append(f"data[{offset}] == {word:#x}")
+            checks.append(f"par[{offset}] == {parity(word)}")
+        lines += [
+            f"    line = lines[{line_no & (config.icache_lines - 1)}]",
+            "    data = line.data",
+            "    par = line.data_parity",
+            "    if not (" + "\n            and ".join(checks) + "):",
+            "        return NO_BLOCK",
+        ]
+    body = []
+    raises = False
+    for index, (address, word, instr) in enumerate(instrs):
+        template = _TEMPLATES[instr.opcode]
+        final = index == len(instrs) - 1
+        if "raise " in template or "dcache." in template:
+            raises = True
+            body.append(f"i = {index}")
+        if final:
+            body += [
+                "last.mem_address = None",
+                "last.mem_value = None",
+                "last.mem_is_write = False",
+                "last.reg_reads = ()",
+                "last.reg_writes = ()",
+            ]
+        else:
+            # last_exec records the final instruction only.
+            template = "".join(
+                line for line in template.splitlines(True)
+                if not line.lstrip().startswith("last.")
+            )
+        body.append(f"# {address:#06x}: {format_instruction(instr)}")
+        body += _expand(template, {
+            "rd": str(instr.rd),
+            "rs1": str(instr.rs1),
+            "rs2": str(instr.rs2),
+            "imm": str(instr.imm),
+            "uimm": str(instr.imm & isa.WORD_MASK),
+            "pc": str(address),
+            "memsize": str(config.memory_size),
+            "mmio": str(config.uncached_base),
+            "leader": str(leader),
+            "index": str(index),
+        }, _BLOCK_MACROS, "")
+    last_address, last_word, last_instr = instrs[-1]
+    if last_instr.opcode not in _TRANSFERS:
+        body += [f"cpu.pc = {last_address + 1}", "taken = False"]
+    used = "\n".join(body)
+    lines += [
+        f"    {name} = {source}" for name, source in _LOCALS.items()
+        if name in ("pipeline", "last") or re.search(rf"\b{name}\b", used)
+    ]
+    if raises:
+        lines.append("    try:")
+        lines += ["        " + line for line in body]
+        for error, trap in (
+            ("CacheParityError", "DCACHE_PARITY"),
+            ("IllegalAddress", "ILLEGAL_ADDRESS"),
+        ):
+            lines += [
+                f"    except {error} as exc:",
+                f"        return _block_trap(cpu, {leader}, i, WORDS, COSTS,"
+                f" Trap.{trap}, str(exc))",
+            ]
+    else:
+        lines += ["    " + line for line in body]
+    lines += [
+        f"    cpu.cycles += {costs[-1]} + taken",
+        f"    cpu.instret += {len(instrs)}",
+        f"    pipeline.ir = {last_word:#x}",
+        f"    cpu.icache.stats.hits += {len(instrs)}",
+        f"    last.pc = {last_address}",
+        f"    last.opcode = Opcode.{last_instr.opcode.name}",
+        "    last.branch_taken = taken",
+        "    return None",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+_TABLES: Dict[Tuple[int, CpuConfig], Tuple["weakref.ref[Program]", BlockTable]] = {}
+
+
+def block_table(program: Program, config: CpuConfig) -> BlockTable:
+    """The shared :class:`BlockTable` of ``program`` under ``config``
+    (kept while the program object lives)."""
+    key = (id(program), config)
+    entry = _TABLES.get(key)
+    if entry is not None and entry[0]() is program:
+        return entry[1]
+    table = BlockTable(program, config)
+    _TABLES[key] = (
+        weakref.ref(program, lambda _ref: _TABLES.pop(key, None)), table
+    )
+    return table

@@ -16,10 +16,10 @@ class RegisterFile:
     """Sixteen 32-bit general-purpose registers.
 
     The backing list is allocated once and only ever mutated in place:
-    the CPU's step loop aliases it (``Cpu._regs``) so handlers
-    can hit the register file with single C-level list indexing. Every
-    write path masks to ``WORD_MASK``, so the list invariantly holds
-    values in ``[0, 2**32)``.
+    the CPU aliases it (``Cpu._regs``) so its execute functions and
+    compiled blocks can hit the register file with single C-level list
+    indexing. Every write path masks to ``WORD_MASK``, so the list
+    invariantly holds values in ``[0, 2**32)``.
     """
 
     def __init__(self) -> None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set
 
 from repro.thor.assembler import Program
-from repro.thor.cpu import Cpu, CpuConfig
+from repro.thor.cpu import NO_BLOCK, Cpu, CpuConfig, block_table
 from repro.thor.scanchain import ScanChain, build_scan_chains
 from repro.thor.traps import Trap, TrapEvent
 from repro.util.errors import TargetError
@@ -162,6 +162,12 @@ class TestCard:
         how the SCIFI algorithm realises "inject at time t".
         ``max_iterations`` bounds SYNC loop iterations for workloads that
         run as an infinite loop.
+
+        While no step hook and no breakpoint is set, the CPU runs the
+        loaded image's compiled blocks and steps only where none may run.
+        A block runs only if its worst-case cost stays below the next
+        stop, time-out and watchdog trap, so every check below sees the
+        state it would see after stepping.
         """
         cpu = self.cpu
         if cpu.halted:
@@ -172,6 +178,16 @@ class TestCard:
         step = cpu.step
         breakpoints = self._breakpoints
         on_step = self.on_step
+        blocks = None
+        if on_step is None and not breakpoints and self.program is not None:
+            blocks = block_table(self.program, cpu.config)
+            run_block = cpu.run_block
+            limit = timeout_cycles
+            if stop_cycle is not None:
+                limit = min(limit, stop_cycle)
+            watchdog = cpu.config.watchdog_cycles
+            if watchdog is not None:
+                limit = min(limit, watchdog + 1)
         while True:
             if stop_cycle is not None and cpu.cycles >= stop_cycle:
                 return DebugEvent(
@@ -197,7 +213,12 @@ class TestCard:
                     reason=f"budget {timeout_cycles}",
                 )
 
-            event = step()
+            if blocks is None:
+                event = step()
+            else:
+                event = run_block(blocks, limit)
+                if event is NO_BLOCK:
+                    event = step()
             # Step hooks (tracing, detail-mode logging, trap re-planting)
             # see only completed instructions, not halting/trapping steps.
             if on_step is not None and (

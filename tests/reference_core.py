@@ -1,20 +1,24 @@
 """The seed THOR-lite core, kept as a test oracle.
 
-Shipped code has one dispatcher, :meth:`repro.thor.cpu.Cpu.step`: a
-memoized word -> (instruction, handler, cycle cost) table. This module
-keeps the seed implementation it replaced — straight-line decode plus
+Shipped code describes instruction semantics once, as the per-opcode
+template table in :mod:`repro.thor.cpu`, instantiated as the execute
+functions :meth:`~repro.thor.cpu.Cpu.step` dispatches to and as the
+compiled blocks :meth:`~repro.thor.cpu.Cpu.run_block` runs. This module
+keeps the seed implementation they replaced — straight-line decode plus
 an opcode if-chain — so the lockstep and property suites and the E18
 benchmark can hold the shipped core to it:
 
 * :func:`reference_step` executes one instruction on a :class:`Cpu`;
 * :func:`reference_core` runs every :class:`Cpu` on it inside a
-  ``with`` block (whole campaigns) by patching ``Cpu.step``;
+  ``with`` block (whole campaigns) by patching ``Cpu.step`` and turning
+  the block path off;
 * :func:`nonzero_pages_reference` is the per-word page scan that
   :meth:`repro.thor.memory.Memory.nonzero_pages` replaced.
 
 The oracle is independent of what it checks: it imports nothing from
-the handler table (``_HANDLERS``, ``_EXEC_CACHE``, ``_h_*``) and keeps
-its own copies of the state helpers only the seed core called.
+the template table, the exec cache or the block compiler
+(``_TEMPLATES``, ``_EXECUTE``, ``_EXEC_CACHE``, ``BlockTable``, ...) and
+keeps its own copies of the state helpers only the seed core called.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Iterator, Optional, Set, Tuple
 
 from repro.thor import isa
 from repro.thor.cache import CacheParityError
-from repro.thor.cpu import Cpu, CpuEvent, CpuHalted, LastExec
+from repro.thor.cpu import NO_BLOCK, Cpu, CpuEvent, CpuHalted, LastExec
 from repro.thor.isa import Instruction, IllegalOpcode, Opcode
 from repro.thor.memory import PAGE_WORDS, IllegalAddress, Memory
 from repro.thor.pipeline import PipelineLatches
@@ -38,15 +42,24 @@ from repro.util.bits import to_signed, to_unsigned
 def reference_core() -> Iterator[None]:
     """Run every :class:`Cpu` on the seed core inside the block.
 
-    Patches ``Cpu.step`` and restores it on exit, also when the block
-    raises. The patch applies wherever ``cpu.step`` is looked up inside
-    the block (``TestCard.run`` binds it once per call)."""
-    shipped = Cpu.step
+    Patches ``Cpu.step`` and makes ``Cpu.run_block`` always decline, so
+    no compiled block runs, and restores both on exit, also when the
+    block raises. The patches apply wherever ``cpu.step`` and
+    ``cpu.run_block`` are looked up inside the block (``TestCard.run``
+    binds them once per call)."""
+    shipped_step, shipped_block = Cpu.step, Cpu.run_block
     Cpu.step = reference_step
+    Cpu.run_block = decline_block
     try:
         yield
     finally:
-        Cpu.step = shipped
+        Cpu.step = shipped_step
+        Cpu.run_block = shipped_block
+
+
+def decline_block(cpu: Cpu, blocks: object, limit: int) -> CpuEvent:
+    """The seed core's block entry: no block ever runs."""
+    return NO_BLOCK
 
 
 def nonzero_pages_reference(memory: Memory) -> Set[int]:

@@ -1,8 +1,9 @@
 """Purity of the decode memo and the fused-dispatch exec cache.
 
 The vectorized core shares decoded :class:`Instruction` objects (and the
-derived ``(instruction, handler, cost)`` exec entries) across every
-experiment of a campaign, so three properties are load-bearing:
+derived ``(instruction, execute, cost)`` exec entries, whose execute
+functions are instantiated from the per-opcode template table) across
+every experiment of a campaign, so three properties are load-bearing:
 
 * decoded instructions are deeply immutable — a shared object one
   experiment could mutate would leak state between experiments;
@@ -117,14 +118,23 @@ class TestNoPoisoning:
         assert not cpu_mod._EXEC_CACHE
 
     def test_exec_entry_matches_decode(self):
+        """A legal word's entry is its decode, the execute function
+        instantiated from its opcode's template, and its base cost; an
+        illegal word gets none."""
         cpu_mod._EXEC_CACHE.clear()
         for word in _legal_words(50, seed=31):
             entry = cpu_mod._exec_entry(word)
             assert entry is not None
-            instr, handler, cost = entry
+            instr, execute, cost = entry
             assert instr is decode(word)
-            assert handler is cpu_mod._HANDLERS[instr.opcode]
+            assert execute is cpu_mod._EXECUTE[instr.opcode]
+            assert execute.__code__.co_filename == (
+                f"<thor-op {instr.opcode.name}>"
+            )
             assert cost == isa.CYCLE_COST[instr.opcode]
+        for word in _illegal_words(20, seed=37):
+            assert cpu_mod._exec_entry(word) is None
+            assert word not in cpu_mod._EXEC_CACHE
 
 
 class TestSizeBound:
@@ -140,4 +150,16 @@ class TestSizeBound:
             assert decode(word) == isa._decode_uncached(word)
 
     def test_handler_table_covers_all_semantics(self):
-        assert set(cpu_mod._HANDLERS) == set(isa.SEMANTICS)
+        """The template table (the one description of instruction
+        semantics) covers isa.SEMANTICS, its branch templates are exactly
+        the FLOW_BRANCH opcodes, and every opcode has an execute
+        function."""
+        templates = cpu_mod._TEMPLATES
+        assert set(templates) == set(isa.SEMANTICS)
+        assert set(cpu_mod._EXECUTE) == set(isa.SEMANTICS)
+        assert {
+            op for op, text in templates.items() if "BRANCH " in text
+        } == {
+            op for op, sem in isa.SEMANTICS.items()
+            if sem.flow == isa.FLOW_BRANCH
+        }
