@@ -44,7 +44,7 @@ def make_campaign(name: str, n_experiments: int = 120) -> CampaignData:
 
 
 def main() -> None:
-    config = ParallelConfig(n_workers=4, shard_size=8, batch_size=32)
+    config = ParallelConfig(n_workers=4, shard_size=8)
 
     # --- 1+2: serial vs parallel, byte-identical rows --------------------
     campaign = make_campaign("par-demo")

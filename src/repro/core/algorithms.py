@@ -96,6 +96,14 @@ class _ListSink:
         self.results.append(result)
 
 
+def _flush_sink(sink) -> None:
+    """Land the rows a batching sink holds (``GoofiDatabase.flush``);
+    sinks without ``flush`` write each row as it is logged."""
+    flush = getattr(sink, "flush", None)
+    if flush is not None:
+        flush()
+
+
 class ExperimentSchedule:
     """Which experiments of one campaign run execute, and which row each
     index logs: the equivalence policy (plan → partition → derive →
@@ -1224,18 +1232,26 @@ class FaultInjectionAlgorithms(abc.ABC):
     ) -> ExperimentResult:
         """Re-run experiment ``index`` of ``campaign`` — typically in
         detail mode to analyse an interesting result — producing a new
-        experiment whose ``parent_experiment`` names the original."""
+        experiment whose ``parent_experiment`` names the original.
+
+        The re-run's reference (per-step states included) and row are
+        logged under ``campaign`` as its own runs store it, logging mode
+        unchanged: a stored detail variant would make ``goofi run
+        --resume`` continue in detail mode and change the campaign's
+        config hash."""
         detail_campaign = campaign.modified(logging_mode=logging_mode)
         parent_name = self.experiment_name(campaign.campaign_name, index)
         sink = sink if sink is not None else _ListSink()
         reference = self.prepare_run(detail_campaign)
-        sink.log_reference(detail_campaign, reference)
+        stored = detail_campaign.modified(logging_mode=campaign.logging_mode)
+        sink.log_reference(stored, reference)
         # The index-keyed substream redraws the original experiment's
         # plan, so the re-run injects the same fault.
         result = self.run_single_experiment(index, reference=reference)
         result.name = f"{parent_name}-rerun"
         result.parent_experiment = parent_name
-        sink.log_experiment(detail_campaign, result)
+        sink.log_experiment(stored, result)
+        _flush_sink(sink)
         return result
 
     # ------------------------------------------------------------------
@@ -1388,24 +1404,27 @@ class FaultInjectionAlgorithms(abc.ABC):
                 reference,
                 (i for i in range(campaign.n_experiments) if i not in skip),
             )
-            for index in schedule.order:
-                try:
-                    control.checkpoint(index)
-                except StopCampaign:
-                    break
-                if schedule.executes(index):
-                    schedule.accept(
-                        index,
-                        self.run_single_experiment(
+            try:
+                for index in schedule.order:
+                    try:
+                        control.checkpoint(index)
+                    except StopCampaign:
+                        break
+                    if schedule.executes(index):
+                        schedule.accept(
                             index,
-                            plan=schedule.plans.get(index),
-                            reference=reference,
-                            use_memo=not schedule.verifies(index),
-                        ),
-                    )
-                result = schedule.row(index)
-                assert result is not None
-                sink.log_experiment(campaign, result)
-                control.report(index, result)
+                            self.run_single_experiment(
+                                index,
+                                plan=schedule.plans.get(index),
+                                reference=reference,
+                                use_memo=not schedule.verifies(index),
+                            ),
+                        )
+                    result = schedule.row(index)
+                    assert result is not None
+                    sink.log_experiment(campaign, result)
+                    control.report(index, result)
+            finally:
+                _flush_sink(sink)
         obs.flush()
         return sink

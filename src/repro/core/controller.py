@@ -30,7 +30,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.core.algorithms import FaultInjectionAlgorithms, StopCampaign
+from repro.core.algorithms import FaultInjectionAlgorithms, StopCampaign, _flush_sink
 from repro.core.campaign import CampaignData
 from repro.core.experiment import ExperimentResult
 from repro.observability import get_observability
@@ -174,6 +174,8 @@ class CampaignController:
             raise StopCampaign()
         if self._resume_event.is_set():
             return
+        # A paused campaign may be inspected or killed: land its rows.
+        _flush_sink(self.sink)
         # Cooperative pause: wait in short slices so stop() still works.
         # Whatever time is spent here is pause time, not campaign time.
         pause_started = time.perf_counter()

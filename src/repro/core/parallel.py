@@ -22,9 +22,9 @@ process runs it or in which order. This module exploits that:
 * results stream back to the parent, which reorders them into index order
   and preserves the Figure-7 semantics: ordered progress snapshots,
   pause/resume/end, and resume-from-sink via ``completed_indices``;
-* the parent lands results in the sink through the batched path
-  (:meth:`repro.db.database.GoofiDatabase.log_experiments` — one
-  ``executemany`` + one commit per batch, WAL mode for file databases).
+* the parent logs each result in the sink as the serial loop does; the
+  sink's own flush policy batches the commits
+  (:meth:`repro.db.database.GoofiDatabase.flush`).
 
 Determinism contract: given the same campaign (name, seed, workload,
 locations, fault model, trigger) and a deterministic port, the *set* of
@@ -48,6 +48,7 @@ from repro.core.algorithms import (
     ExperimentSchedule,
     FaultInjectionAlgorithms,
     StopCampaign,
+    _flush_sink,
     _ListSink,
     _NullControl,
 )
@@ -93,8 +94,6 @@ class ParallelConfig:
     #: How often a failed (hung/crashed/raised) experiment is retried on a
     #: fresh worker before being logged as a ``worker-failure``.
     max_retries: int = 1
-    #: Results accumulated before a batched sink flush.
-    batch_size: int = 32
     #: multiprocessing start method; ``None`` picks ``fork`` when the
     #: platform offers it (cheap worker start) and ``spawn`` otherwise.
     start_method: Optional[str] = None
@@ -121,8 +120,6 @@ class ParallelConfig:
             raise CampaignError("ParallelConfig.n_workers must be >= 1")
         if self.shard_size < 1:
             raise CampaignError("ParallelConfig.shard_size must be >= 1")
-        if self.batch_size < 1:
-            raise CampaignError("ParallelConfig.batch_size must be >= 1")
         if self.max_retries < 0:
             raise CampaignError("ParallelConfig.max_retries must be >= 0")
         if self.timeout_seconds is not None and self.timeout_seconds <= 0:
@@ -335,7 +332,6 @@ class _ParallelRun:
         self.retry_queue: Deque[int] = deque()
         self.retries: Dict[int, int] = {}
         self.reported = 0
-        self.batch: List[ExperimentResult] = []
         self.workers: List[_Worker] = []
         self.fingerprint: Optional[Tuple[int, int, str]] = None
         self.campaign_json = ""
@@ -501,6 +497,8 @@ class _ParallelRun:
         if not bool(getattr(self.control, "paused", False)):
             self._checkpoint()
             return
+        # A paused campaign may be inspected or killed: land its rows.
+        _flush_sink(self.sink)
         pause_started = time.perf_counter()
         try:
             while bool(getattr(self.control, "paused", False)):
@@ -714,7 +712,7 @@ class _ParallelRun:
             ),
         )
 
-    # -- ordered reporting and batched sink flushes ------------------------
+    # -- ordered reporting ---------------------------------------------------
 
     def _flush_ordered(self, final: bool = False) -> None:
         while self.reported < len(self.order):
@@ -722,9 +720,7 @@ class _ParallelRun:
             result = self.schedule.row(index)
             if result is None:
                 break
-            self.batch.append(result)
-            if len(self.batch) >= self.config.batch_size:
-                self._flush_batch()
+            self.sink.log_experiment(self.campaign, result)
             self.reported += 1
             self.control.report(index, result)
             if self._owns_health:
@@ -742,22 +738,11 @@ class _ParallelRun:
                 for index in self.order[self.reported:]:
                     result = self.schedule.row(index)
                     if result is not None:
-                        self.batch.append(result)
+                        self.sink.log_experiment(self.campaign, result)
                         self.reported += 1
                         self.control.report(index, result)
             finally:
-                self._flush_batch()
-
-    def _flush_batch(self) -> None:
-        if not self.batch:
-            return
-        log_many = getattr(self.sink, "log_experiments", None)
-        if callable(log_many):
-            log_many(self.campaign, self.batch)
-        else:
-            for result in self.batch:
-                self.sink.log_experiment(self.campaign, result)
-        self.batch = []
+                _flush_sink(self.sink)
 
     # -- teardown ----------------------------------------------------------
 

@@ -1,15 +1,18 @@
 """GoofiDatabase: connection management, CRUD and the result-sink protocol.
 
 The database object doubles as the *sink* the fault-injection algorithms
-log into (``log_reference`` / ``log_experiment``), so a campaign run with
-``algorithm.run_campaign(campaign, sink=db)`` lands directly in
-``LoggedSystemState`` — the paper's fault-injection phase, verbatim.
+log into (``log_reference`` / ``log_experiment`` / ``flush``), so a
+campaign run with ``algorithm.run_campaign(campaign, sink=db)`` lands
+directly in ``LoggedSystemState`` — the paper's fault-injection phase,
+verbatim.
 """
 
 from __future__ import annotations
 
 import json
 import sqlite3
+import threading
+import time
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.campaign import CampaignData
@@ -25,8 +28,15 @@ from repro.observability.runmeta import (
 )
 from repro.util.errors import DatabaseError
 
-# Upsert for LoggedSystemState rows, shared by the single-row and the
-# batched (executemany) sink paths.
+#: Pending experiment rows at which ``log_experiment`` lands the batch.
+FLUSH_ROWS = 256
+#: Seconds since the last flush after which ``log_experiment`` lands the
+#: batch, so a campaign slower than one row per second still commits
+#: each row as it is logged.
+FLUSH_SECONDS = 1.0
+
+# Upsert for LoggedSystemState rows; every flush lands its batch with
+# one executemany of it.
 _LOGGED_UPSERT = (
     "INSERT INTO LoggedSystemState("
     "experimentName, parentExperiment, campaignName, experimentData, "
@@ -46,6 +56,15 @@ class GoofiDatabase:
     def __init__(self, path: str = ":memory:", readonly: bool = False):
         self.path = path
         self.readonly = readonly
+        #: Encoded experiment rows not landed yet (see :meth:`flush`).
+        self._pending: List[Tuple] = []
+        #: Guards ``_pending`` and each flush: a campaign may log from
+        #: ``run_in_thread`` while another thread reads this object.
+        self._pending_lock = threading.Lock()
+        self._last_flush = time.monotonic()
+        #: Representative name -> (state vector, encoded blob) of the
+        #: last row derived from it (cleared by :meth:`log_reference`).
+        self._class_blobs: Dict[str, Tuple[dict, bytes]] = {}
         if readonly:
             # Analytics connections: a WAL *snapshot* reader that can
             # never take the write lock, so a mid-campaign
@@ -60,7 +79,7 @@ class GoofiDatabase:
             from urllib.parse import quote
 
             try:
-                self._conn = sqlite3.connect(
+                self._connection = sqlite3.connect(
                     f"file:{quote(path)}?mode=ro",
                     uri=True,
                     check_same_thread=False,
@@ -69,7 +88,7 @@ class GoofiDatabase:
                 raise DatabaseError(
                     f"cannot open {path!r} read-only: {exc}"
                 ) from exc
-            self._conn.row_factory = sqlite3.Row
+            self._connection.row_factory = sqlite3.Row
             # Belt and braces: refuse writes at the connection level too
             # (mode=ro already rejects them at the VFS layer).
             self._conn.execute("PRAGMA query_only = ON")
@@ -85,10 +104,10 @@ class GoofiDatabase:
                     f"database schema version {version} != {SCHEMA_VERSION}"
                 )
             return
-        # Campaigns may log from a worker thread (run_in_thread) or flush
-        # batches from the parallel runner's parent loop.
-        self._conn = sqlite3.connect(path, check_same_thread=False)
-        self._conn.row_factory = sqlite3.Row
+        # Campaigns may log from a worker thread (run_in_thread) while
+        # another thread reads.
+        self._connection = sqlite3.connect(path, check_same_thread=False)
+        self._connection.row_factory = sqlite3.Row
         if path != ":memory:":
             # WAL keeps readers (analysis queries, resume's
             # completed_indices) unblocked while a campaign streams
@@ -144,8 +163,22 @@ class GoofiDatabase:
         if "tenant" not in runmeta_columns:
             self._conn.execute("ALTER TABLE RunMeta ADD COLUMN tenant TEXT")
 
+    @property
+    def _conn(self) -> sqlite3.Connection:
+        """The connection, once pending experiment rows have landed.
+        Every statement but the flush itself goes through here, so reads
+        see every logged row and no other write shares a transaction
+        with a half-landed batch."""
+        with self._pending_lock:
+            if self._pending:
+                self._land()
+        return self._connection
+
     def close(self) -> None:
-        self._conn.close()
+        try:
+            self.flush()
+        finally:
+            self._connection.close()
 
     def __enter__(self) -> "GoofiDatabase":
         return self
@@ -231,6 +264,9 @@ class GoofiDatabase:
         return f"{campaign_name}-ref"
 
     def log_reference(self, campaign: CampaignData, ref: ReferenceRun) -> None:
+        """Save ``campaign`` and land its reference row at once. A new
+        reference starts a new campaign run, so the per-class blob cache
+        starts empty."""
         self.save_campaign(campaign)
         experiment_data = {
             "reference": True,
@@ -239,7 +275,7 @@ class GoofiDatabase:
             "termination": ref.termination.to_dict(),
             "outputs": ref.outputs,
         }
-        self._insert_logged(
+        row = self._logged_row(
             name=self.reference_name(campaign.campaign_name),
             parent=None,
             campaign_name=campaign.campaign_name,
@@ -248,56 +284,90 @@ class GoofiDatabase:
             is_reference=True,
             derived_from=None,
         )
+        with self._pending_lock:
+            self._class_blobs.clear()
+            self._pending.append(row)
+            self._land()
 
     def log_experiment(
         self, campaign: CampaignData, result: ExperimentResult
     ) -> None:
+        """Encode one experiment row and queue it. The queue lands when
+        it holds :data:`FLUSH_ROWS` rows or :data:`FLUSH_SECONDS` have
+        passed since the last flush, before any other statement on this
+        connection, and on :meth:`flush` and :meth:`close`."""
         get_observability().metrics.counter("db.rows_total").inc()
-        self._insert_logged(
+        row = self._logged_row(
             name=result.name,
             parent=result.parent_experiment,
             campaign_name=campaign.campaign_name,
             experiment_data=result.experiment_data(),
-            state_blob=encode_state_payload(
-                result.state_vector, result.detail_states
-            ),
+            state_blob=self._state_blob(result),
             is_reference=False,
             derived_from=result.derived_from,
         )
+        with self._pending_lock:
+            self._pending.append(row)
+            if (
+                len(self._pending) >= FLUSH_ROWS
+                or time.monotonic() - self._last_flush >= FLUSH_SECONDS
+                # Nothing to batch on a read-only connection: the write
+                # fails where it is made.
+                or self.readonly
+            ):
+                self._land()
 
     def log_experiments(
         self, campaign: CampaignData, results: List[ExperimentResult]
     ) -> None:
-        """Batched sink path: land many experiment rows with a single
-        ``executemany`` and one commit.
+        """Log many experiment rows and land them."""
+        for result in results:
+            self.log_experiment(campaign, result)
+        self.flush()
 
-        The parallel campaign runner flushes its reorder buffer through
-        this method; combined with WAL journaling on file databases it
-        turns per-experiment fsync cost into per-batch cost."""
-        if not results:
+    def flush(self) -> None:
+        """Land every pending experiment row: one ``executemany`` and one
+        commit. Runners call it when a campaign ends, stops, raises or
+        pauses."""
+        with self._pending_lock:
+            self._land()
+
+    def _land(self) -> None:
+        """Flush with ``_pending_lock`` held. A batch lands whole or not
+        at all: if landing it raises, it is rolled back and dropped, so
+        a resumed campaign re-runs its rows."""
+        rows, self._pending = self._pending, []
+        self._last_flush = time.monotonic()
+        if not rows:
             return
         obs = get_observability()
-        with obs.profile("db.batch", rows=len(results)):
-            rows = [
-                self._logged_row(
-                    name=result.name,
-                    parent=result.parent_experiment,
-                    campaign_name=campaign.campaign_name,
-                    experiment_data=result.experiment_data(),
-                    state_blob=encode_state_payload(
-                        result.state_vector, result.detail_states
-                    ),
-                    is_reference=False,
-                    derived_from=result.derived_from,
-                )
-                for result in results
-            ]
-            self._conn.executemany(_LOGGED_UPSERT, rows)
-            self._conn.commit()
-        metrics = obs.metrics
-        if metrics.enabled:
-            metrics.counter("db.batches_total").inc()
-            metrics.counter("db.rows_total").inc(len(results))
+        with obs.profile("db.batch", rows=len(rows)):
+            try:
+                self._connection.executemany(_LOGGED_UPSERT, rows)
+                self._connection.commit()
+            except BaseException:
+                self._connection.rollback()
+                raise
+        if obs.metrics.enabled:
+            obs.metrics.counter("db.batches_total").inc()
+
+    def _state_blob(self, result: ExperimentResult) -> bytes:
+        """``encode_state_payload`` of the row's states. A row derived
+        from an equivalence-class representative, with no detail states,
+        reuses the blob cached for that representative when its state
+        vector equals the cached one (state vectors map names to ints,
+        so equal dicts encode to equal bytes)."""
+        rep = result.derived_from
+        if rep is None or result.detail_states:
+            return encode_state_payload(
+                result.state_vector, result.detail_states
+            )
+        cached = self._class_blobs.get(rep)
+        if cached is not None and cached[0] == result.state_vector:
+            return cached[1]
+        blob = encode_state_payload(result.state_vector)
+        self._class_blobs[rep] = (dict(result.state_vector), blob)
+        return blob
 
     @staticmethod
     def _logged_row(
@@ -318,25 +388,6 @@ class GoofiDatabase:
             int(is_reference),
             derived_from,
         )
-
-    def _insert_logged(
-        self,
-        name: str,
-        parent: Optional[str],
-        campaign_name: str,
-        experiment_data: dict,
-        state_blob: bytes,
-        is_reference: bool,
-        derived_from: Optional[str] = None,
-    ) -> None:
-        self._conn.execute(
-            _LOGGED_UPSERT,
-            self._logged_row(
-                name, parent, campaign_name, experiment_data, state_blob,
-                is_reference, derived_from,
-            ),
-        )
-        self._conn.commit()
 
     # ------------------------------------------------------------------
     # RunMeta — per-execution provenance (schema v2)

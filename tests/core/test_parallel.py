@@ -78,7 +78,6 @@ def fast_config(**overrides):
     defaults = dict(
         n_workers=2,
         shard_size=3,
-        batch_size=4,
         timeout_seconds=30.0,
         max_retries=1,
         start_method="fork",
@@ -324,7 +323,6 @@ class TestConfigValidation:
         [
             dict(n_workers=0),
             dict(shard_size=0),
-            dict(batch_size=0),
             dict(max_retries=-1),
             dict(timeout_seconds=0.0),
         ],

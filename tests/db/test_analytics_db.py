@@ -106,7 +106,7 @@ class TestReadonlyConnections:
         iterator = reader.iter_experiments("test-campaign", batch_size=2)
         next(iterator)
         writer.log_experiment(campaign, make_result(100))
-        writer._conn.commit()
+        writer.flush()
         remaining = list(iterator)
         assert len(remaining) >= 7
         # A fresh reader connection sees the newly committed row.

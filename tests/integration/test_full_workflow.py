@@ -154,10 +154,45 @@ class TestDetailRerunThroughDatabase:
         stored = db.load_experiment(rerun.name)
         assert stored.parent_experiment == "test-campaign-exp00003"
         reference = db.load_reference(campaign.campaign_name + "")
-        # The rerun's own campaign record is the detail variant; its
-        # reference carries the per-step states.
+        # The re-run is logged under the campaign as stored (its logging
+        # mode unchanged); the re-run row carries the per-step states,
+        # and the campaign's reference row gains the golden ones.
         assert stored.detail_states
         assert db.children_of("test-campaign-exp00003") == [rerun.name]
+
+    def test_rerun_keeps_the_stored_campaign(self, tmp_path, capsys):
+        """A detail re-run must not turn the stored campaign into its
+        detail variant: ``goofi run --resume`` would continue it in
+        detail mode, and its config hash would stop matching."""
+        from repro.db import GoofiDatabase
+        from repro.observability.runmeta import campaign_config_hash
+        from repro.ui.app import main
+
+        path = str(tmp_path / "rerun.db")
+        main(["campaign", "--db", path, "--name", "rr", "--workload",
+              "vecsum", "--experiments", "4"])
+        main(["run", "--db", path, "--campaign", "rr", "--quiet"])
+
+        def stored():
+            with GoofiDatabase(path) as db:
+                campaign = db.load_campaign("rr")
+            return campaign.to_json(), campaign_config_hash(campaign)
+
+        before = stored()
+        assert main(["rerun", "--db", path, "--campaign", "rr",
+                     "--index", "2"]) == 0
+        assert stored() == before
+        with GoofiDatabase(path) as db:
+            assert db.load_campaign("rr").logging_mode == "normal"
+            assert db.load_reference("rr").detail_states
+            # The API path, with the object a run bound, keeps it too.
+            campaign = db.load_campaign("rr")
+            create_target("thor-rd").rerun_experiment(campaign, 1, sink=db)
+        assert stored() == before
+        capsys.readouterr()
+        assert main(["propagate", "--db", path, "--experiment",
+                     "rr-exp00002-rerun"]) == 0
+        assert "rr-exp00002-rerun" in capsys.readouterr().out
 
 
 class TestMergedCampaignRuns:

@@ -8,9 +8,25 @@ resumed experiments inject exactly the faults an uninterrupted run would
 have injected.
 """
 
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.core import CampaignController, create_target
+import repro
+from repro.core import (
+    CampaignController,
+    ParallelCampaignController,
+    ParallelConfig,
+    create_target,
+    worker_factory,
+)
+from repro.core.parallel import canonical_experiment_rows
+from repro.db import GoofiDatabase, database
 from repro.util.errors import CampaignError
 from tests.conftest import make_campaign
 
@@ -91,3 +107,103 @@ class TestResume:
                      "--quiet", "--resume"]) == 0
         out = capsys.readouterr().out
         assert "6/6" in out
+
+
+#: Runs a campaign into a database file and SIGKILLs its own process
+#: group (itself and any workers) from a progress listener once
+#: ``kill_at`` rows are logged. argv: path, campaign JSON, kill_at,
+#: workers (0 = serial).
+_KILLED_CAMPAIGN = """
+import os, signal, sys
+from repro.core import (
+    CampaignController, CampaignData, ParallelCampaignController,
+    ParallelConfig, create_target, worker_factory,
+)
+from repro.db import GoofiDatabase
+
+path, spec, kill_at, workers = sys.argv[1:5]
+campaign = CampaignData.from_json(spec)
+db = GoofiDatabase(path)
+if int(workers):
+    controller = ParallelCampaignController(
+        worker_factory("thor-rd"), sink=db,
+        config=ParallelConfig(n_workers=int(workers), start_method="fork"),
+    )
+else:
+    controller = CampaignController(create_target("thor-rd"), sink=db)
+
+def kill(progress):
+    if progress.n_done == int(kill_at):
+        os.killpg(0, signal.SIGKILL)
+
+controller.add_listener(kill)
+controller.run(campaign)
+"""
+
+
+def _controller(workers, db):
+    if workers:
+        return ParallelCampaignController(
+            worker_factory("thor-rd"), sink=db,
+            config=ParallelConfig(n_workers=workers, start_method="fork"),
+        )
+    return CampaignController(create_target("thor-rd"), sink=db)
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "killpg")
+    or "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs process groups and the fork start method",
+)
+class TestKilledMidBatch:
+    """A campaign process killed between flushes loses at most one
+    batch, and resume re-runs it to the rows of an uninterrupted run."""
+
+    N_EXPERIMENTS = 400
+    KILL_AT = 300  # past one flush, not a multiple of FLUSH_ROWS
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_kill_then_resume(self, tmp_path, workers):
+        assert self.KILL_AT > database.FLUSH_ROWS
+        assert self.KILL_AT % database.FLUSH_ROWS
+        campaign = make_campaign(
+            campaign_name="killed", n_experiments=self.N_EXPERIMENTS, seed=21
+        )
+        path = str(tmp_path / "killed.db")
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        process = subprocess.Popen(
+            [sys.executable, "-c", _KILLED_CAMPAIGN, path,
+             campaign.to_json(), str(self.KILL_AT), str(workers)],
+            env=env,
+            start_new_session=True,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+        )
+        try:
+            _, stderr = process.communicate(timeout=120)
+        finally:
+            try:
+                os.killpg(process.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            process.wait(timeout=10)
+        assert process.returncode == -signal.SIGKILL, stderr.decode()
+
+        with GoofiDatabase(path, readonly=True) as fresh:
+            done = fresh.completed_indices("killed")
+            assert fresh.count_experiments("killed") == len(done)
+        # Rows land in index order: the committed ones are a prefix,
+        # short of the logged ones by less than one batch.
+        assert done == list(range(len(done)))
+        assert self.KILL_AT - database.FLUSH_ROWS < len(done) <= self.KILL_AT
+
+        with GoofiDatabase(path) as db:
+            _controller(workers, db).run(campaign, resume=True)
+            resumed = canonical_experiment_rows(db, "killed")
+        with GoofiDatabase(":memory:") as full:
+            create_target("thor-rd").run_campaign(campaign, sink=full)
+            assert resumed == canonical_experiment_rows(full, "killed")

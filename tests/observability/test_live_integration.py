@@ -48,7 +48,6 @@ def _fast_config(**overrides):
     defaults = dict(
         n_workers=2,
         shard_size=3,
-        batch_size=4,
         timeout_seconds=30.0,
         max_retries=1,
         start_method="fork",

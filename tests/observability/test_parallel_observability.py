@@ -32,7 +32,6 @@ def _parallel_config(**overrides):
     defaults = dict(
         n_workers=N_WORKERS,
         shard_size=3,
-        batch_size=4,
         timeout_seconds=60.0,
         max_retries=1,
         start_method="fork",

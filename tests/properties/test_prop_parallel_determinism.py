@@ -5,12 +5,14 @@ deterministic per-experiment RNG substream — means sharding a campaign
 over a process pool must not change a single logged byte (modulo the
 wall-clock timing field, which ``canonical_experiment_rows`` zeroes).
 
-Hypothesis drives the campaign shape (technique, seed, size) and the
-pool shape (worker count, shard size, batch size); the invariant is
-exact equality of the canonicalised database rows.
+Hypothesis drives the campaign shape (technique, seed, size), the pool
+shape (worker count, shard size) and the sink's flush row count, so
+flush boundaries fall anywhere in both runs; the invariant is exact
+equality of the canonicalised database rows.
 """
 
 import multiprocessing
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -21,7 +23,7 @@ from repro.core.parallel import (
     canonical_experiment_rows,
     run_parallel_campaign,
 )
-from repro.db import GoofiDatabase
+from repro.db import GoofiDatabase, database
 from tests.conftest import make_campaign
 
 pytestmark = pytest.mark.skipif(
@@ -48,7 +50,6 @@ pool_shapes = st.fixed_dictionaries(
     {
         "n_workers": st.integers(min_value=1, max_value=3),
         "shard_size": st.integers(min_value=1, max_value=4),
-        "batch_size": st.integers(min_value=1, max_value=5),
     }
 )
 
@@ -58,24 +59,29 @@ pool_shapes = st.fixed_dictionaries(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(shape=campaign_shapes, pool=pool_shapes)
-def test_parallel_rows_byte_identical_to_serial(shape, pool):
+@given(
+    shape=campaign_shapes,
+    pool=pool_shapes,
+    flush_rows=st.integers(min_value=1, max_value=5),
+)
+def test_parallel_rows_byte_identical_to_serial(shape, pool, flush_rows):
     campaign = make_campaign(
         campaign_name=f"prop-{shape['technique']}-{shape['seed']}",
         location_patterns=_TECHNIQUE_PATTERNS[shape["technique"]],
         **shape,
     )
 
-    serial_db = GoofiDatabase(":memory:")
-    create_target("thor-rd").run_campaign(campaign, sink=serial_db)
+    with mock.patch.object(database, "FLUSH_ROWS", flush_rows):
+        serial_db = GoofiDatabase(":memory:")
+        create_target("thor-rd").run_campaign(campaign, sink=serial_db)
 
-    parallel_db = GoofiDatabase(":memory:")
-    run_parallel_campaign(
-        campaign,
-        worker_factory("thor-rd"),
-        sink=parallel_db,
-        config=ParallelConfig(start_method="fork", **pool),
-    )
+        parallel_db = GoofiDatabase(":memory:")
+        run_parallel_campaign(
+            campaign,
+            worker_factory("thor-rd"),
+            sink=parallel_db,
+            config=ParallelConfig(start_method="fork", **pool),
+        )
 
     serial_rows = canonical_experiment_rows(serial_db, campaign.campaign_name)
     parallel_rows = canonical_experiment_rows(

@@ -100,7 +100,6 @@ class TestParallelDigest:
             config=ParallelConfig(
                 n_workers=n_workers,
                 shard_size=3,
-                batch_size=4,
                 timeout_seconds=30.0,
                 start_method="fork",
             ),
