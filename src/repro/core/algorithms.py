@@ -39,9 +39,10 @@ from repro.core.experiment import (
 )
 from repro.core.faultmodels import FaultModel, InjectionPlan, build_fault_model
 from repro.core.locations import FaultLocation, LocationSpace
-from repro.core.preinjection import build_liveness_oracle
+from repro.core.preinjection import LATENT, LIVE, build_liveness_oracle
 from repro.core.trace import Trace
 from repro.observability import get_observability
+from repro.util.bits import bit_set
 from repro.util.errors import CampaignError, NotImplementedByPort
 from repro.util.rng import CampaignRandom
 
@@ -372,6 +373,10 @@ class FaultInjectionAlgorithms(abc.ABC):
         #: ``preinjection_mode="equivalence"`` — the campaign loop uses
         #: it to partition the planned fault list.
         self._equivalence = None
+        #: The reference-trace oracle (:class:`~repro.core.preinjection
+        #: .PreInjectionAnalysis`) the liveness exit asks; built in set-up
+        #: wherever the divergence probe can arm, else None.
+        self._trace_oracle = None
         #: Fraction of statically-derived experiment outcomes that are
         #: re-executed for real and compared against the derivation
         #: (``goofi run --verify-equivalence P``). Any divergence is a
@@ -383,10 +388,12 @@ class FaultInjectionAlgorithms(abc.ABC):
         #: Checkpoints captured along the reference run (warm starts);
         #: None when the campaign, technique or port rules them out.
         self._checkpoints: Optional[CheckpointStore] = None
-        #: The post-injection fast paths. Divergence-window execution
-        #: probes the faulty run's state digest against the golden
-        #: checkpoints after injection and synthesizes the golden outcome
-        #: on re-convergence instead of simulating the tail; outcome
+        #: The post-injection fast paths. The liveness exit ends an
+        #: experiment at injection when the reference trace proves every
+        #: injected bit dead; divergence-window execution probes the
+        #: faulty run's state digest against the golden checkpoints
+        #: after injection and synthesizes the golden outcome on
+        #: re-convergence instead of simulating the tail; outcome
         #: memoization replays the recorded outcome of an earlier
         #: experiment with the same (restore checkpoint digest, canonical
         #: injection delta) key instead of executing. Not part of
@@ -604,6 +611,7 @@ class FaultInjectionAlgorithms(abc.ABC):
         self._rng = CampaignRandom(campaign.seed)
         self._liveness = None
         self._equivalence = None
+        self._trace_oracle = None
         # A stale reference/checkpoint store/memo table from a
         # previously bound campaign must never leak into this one (the
         # reference-run budget and the warm-start eligibility depend on
@@ -677,23 +685,52 @@ class FaultInjectionAlgorithms(abc.ABC):
                 trace=trace,
                 detail_states=self.drain_detail_states() if detail else [],
             )
-            self._install_oracles(trace)
-        self._checkpoints = store
+            self._checkpoints = store
+            self._install_oracles(reference)
         return reference
 
-    def _install_oracles(self, trace: Optional[Trace]) -> None:
-        """Build the pre-injection/equivalence oracles from a reference
-        trace. ``preinjection_mode="equivalence"`` activates the
-        partitioner even when liveness pruning itself is off."""
+    def _install_oracles(self, reference: ReferenceRun) -> None:
+        """Build the oracles from a reference run: the reference-trace
+        oracle of the liveness exit wherever the divergence probe can
+        arm, and the pre-injection/equivalence oracles the campaign
+        selects (``preinjection_mode="equivalence"`` activates the
+        partitioner even when liveness pruning itself is off). Dynamic
+        pruning reuses the liveness exit's oracle."""
         campaign = self._require_campaign()
+        trace = reference.trace
+        if trace is not None and self._probe_can_arm(reference):
+            self._trace_oracle = self.build_preinjection_analysis(
+                trace, mode="dynamic"
+            )
         equivalence = campaign.preinjection_mode == "equivalence"
         if not (campaign.use_preinjection or equivalence):
             return
-        oracle = self.build_preinjection_analysis(trace)
+        if (
+            campaign.preinjection_mode == "dynamic"
+            and self._trace_oracle is not None
+        ):
+            oracle = self._trace_oracle
+        else:
+            oracle = self.build_preinjection_analysis(trace)
         if campaign.use_preinjection:
             self._liveness = oracle
         if equivalence:
             self._equivalence = oracle
+
+    def _probe_can_arm(self, reference: ReferenceRun) -> bool:
+        """Can the divergence probe arm for any experiment of this
+        binding: early exit on, summary logging, and a golden tick after
+        cycle 0 and before the reference termination? Each experiment
+        then needs such a tick after its last action
+        (:meth:`_begin_divergence`)."""
+        campaign = self._require_campaign()
+        store = self._checkpoints
+        return (
+            self.early_exit
+            and campaign.logging_mode != "detail"
+            and store is not None
+            and any(0 < cycle < reference.duration_cycles for cycle in store.cycles)
+        )
 
     def _capture_checkpointed_reference(self, budget: int):
         """Run the reference workload to termination, pausing at the
@@ -724,11 +761,13 @@ class FaultInjectionAlgorithms(abc.ABC):
             next_stop = tick.cycle + interval
         return store, None
 
-    def build_preinjection_analysis(self, trace: Optional[Trace]):
+    def build_preinjection_analysis(
+        self, trace: Optional[Trace], mode: Optional[str] = None
+    ):
         """Construct the campaign's liveness oracle (paper Section 4).
 
-        Dispatches on ``campaign.preinjection_mode``: ``dynamic`` builds
-        the trace-based :class:`~repro.core.preinjection
+        Dispatches on ``mode``, by default ``campaign.preinjection_mode``:
+        ``dynamic`` builds the trace-based :class:`~repro.core.preinjection
         .PreInjectionAnalysis`; ``static`` the trace-free
         :class:`~repro.staticanalysis.oracle.StaticPreInjectionAnalysis`
         over the port's ``workload_program``; ``hybrid`` intersects the
@@ -737,7 +776,7 @@ class FaultInjectionAlgorithms(abc.ABC):
         .EquivalencePreInjectionAnalysis`)."""
         campaign = self._require_campaign()
         return build_liveness_oracle(
-            campaign.preinjection_mode,
+            mode or campaign.preinjection_mode,
             trace,
             self.location_space(),
             program=self.workload_program(),
@@ -1090,7 +1129,7 @@ class FaultInjectionAlgorithms(abc.ABC):
             return False
         self._reference = golden.reference
         self._checkpoints = golden.checkpoints
-        self._install_oracles(golden.reference.trace)
+        self._install_oracles(golden.reference)
         return True
 
     def run_single_experiment(
@@ -1304,29 +1343,23 @@ class FaultInjectionAlgorithms(abc.ABC):
     def _begin_divergence(self, plan: InjectionPlan) -> bool:
         """Arm divergence probing for one experiment, if it can pay off.
 
-        Probing needs early-exit enabled, a checkpointed reference run
-        with at least one golden tick strictly after the last injection
-        action and strictly before the reference termination (otherwise
-        there is no tail to skip), summary logging (detail mode must
-        observe every instruction of the real tail), and a port that
+        Probing needs early-exit enabled, summary logging (detail mode
+        must observe every instruction of the real tail), a checkpointed
+        reference run with at least one golden tick strictly after the
+        last injection action and strictly before the reference
+        termination (otherwise there is no tail to skip), and a port that
         implements the tracking block. Returns whether probing is armed;
         False always means "run the plain tail", never an error."""
-        if not self.early_exit:
-            return False
-        campaign = self._require_campaign()
-        if campaign.logging_mode == "detail":
+        reference = self._reference
+        if reference is None or not self._probe_can_arm(reference):
             return False
         store = self._checkpoints
-        reference = getattr(self, "_reference", None)
-        if store is None or len(store) == 0 or reference is None:
-            return False
+        assert store is not None
         actions = plan.sorted_actions()
         if not actions:
             return False
         start = store.first_after(actions[-1].time)
-        if start is None:
-            return False
-        if store.tick(start).cycle >= reference.duration_cycles:
+        if start is None or store.tick(start).cycle >= reference.duration_cycles:
             return False
         try:
             self.start_divergence_tracking()
@@ -1342,11 +1375,15 @@ class FaultInjectionAlgorithms(abc.ABC):
         probing: bool,
     ) -> None:
         """Complete a stop-and-inject experiment after its injection
-        loop: probe the divergence window when armed (synthesizing the
-        golden outcome on re-convergence), otherwise — or when probing
-        stays inconclusive — run the plain tail to termination."""
+        loop. Where the divergence window is armed, first take the
+        liveness exit when the reference trace proves every injected bit
+        dead, then probe the window (synthesizing the golden outcome on
+        re-convergence); otherwise — or when probing stays inconclusive
+        — run the plain tail to termination."""
         campaign = self._require_campaign()
         if termination is None and probing:
+            if self._liveness_exit(result):
+                return
             window = run_window(self, plan, self._reference, self._checkpoints)
             if window.converged:
                 self._finish_golden(result)
@@ -1358,11 +1395,56 @@ class FaultInjectionAlgorithms(abc.ABC):
             )
         self._finish(result, termination)
 
+    def _liveness_exit(self, result: ExperimentResult) -> bool:
+        """End the experiment at injection when the reference trace
+        proves each injected bit dead at its injection time: overwritten
+        before any read, or never touched again (latent). The faulty run
+        then reads nothing the golden run does not, so it ends with the
+        golden termination and outputs, and its state vector is the
+        golden one with each latent bit holding the value its last
+        injection left. Returns whether it exited."""
+        oracle = self._trace_oracle
+        if oracle is None or not result.injections:
+            return False
+        latent: Dict[tuple, int] = {}
+        for injection in result.injections:
+            location = injection.location
+            fate = oracle.fate(location, injection.time)
+            if fate == LIVE:
+                return False
+            if fate == LATENT:
+                latent[location.path, location.bit] = injection.bit_after
+            else:
+                latent.pop((location.path, location.bit), None)
+        self._finish_golden(result)
+        if latent:
+            # A register is observed as scan:internal/... and swreg/...
+            # alike: a key names the latent cell by its path.
+            vector = result.state_vector
+            for key, value in vector.items():
+                path = key.split("/", 1)[1]
+                for (latent_path, bit), bit_after in latent.items():
+                    if path == latent_path:
+                        value = bit_set(value, bit, bit_after)
+                vector[key] = value
+        reference = self._reference
+        assert reference is not None
+        skipped = reference.duration_cycles - result.injections[-1].time
+        obs = get_observability()
+        if obs.metrics.enabled:
+            obs.metrics.counter("divergence.liveness_exits").inc()
+            obs.metrics.counter("divergence.early_exits").inc()
+            obs.metrics.counter("divergence.cycles_skipped").inc(skipped)
+        obs.tracer.event("liveness-exit", cycles_skipped=skipped)
+        return True
+
     def _finish_golden(self, result: ExperimentResult) -> None:
         """Fill ``result`` with the golden run's outcome — the faulty
-        run's state digest matched a golden tick, so its future is the
-        golden future and its final termination/outputs/state vector are
-        the reference run's, byte for byte. Fresh copies, never aliases:
+        run's state digest matched a golden tick, or the reference trace
+        proved its injected bits dead, so its future is the golden future
+        and its final termination/outputs/state vector are the reference
+        run's, byte for byte (but for latent bits, which
+        :meth:`_liveness_exit` sets afterwards). Fresh copies, never aliases:
         results outlive the experiment and are mutated downstream."""
         reference = self._reference
         assert reference is not None

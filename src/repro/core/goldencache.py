@@ -35,7 +35,7 @@ from repro.core.experiment import ReferenceRun
 
 #: Bumped whenever the pickled layout of GoldenRun (or anything it
 #: transitively contains) changes shape; old entries then miss cleanly.
-CACHE_FORMAT = 1
+CACHE_FORMAT = 2
 
 
 @dataclass

@@ -14,13 +14,22 @@ at all (the fault stays latent and cannot affect the workload's outputs).
 Covered location classes:
 
 * register file cells  (``scan:internal/cpu.regfile.rN``, ``swreg:cpu.regfile.rN``)
-* the PSR              (flag producers/consumers)
+* the PSR, bit by bit  (each step's flag read and write masks)
 * the PC / IR latches  (always live — consumed by the very next fetch)
-* memory words         (``memory:code/...``, ``memory:data/...``, ``swreg:memory...``)
+* memory words         (``memory:code/...``, ``memory:data/...``): data
+  accesses, and each step's fetch as a read of the word at its PC
+* cache arrays         (``dcache.*``, ``icache.*``): a next-event replay
+  of each cache the trace records (:class:`repro.thor.cache.CacheRecord`),
+  used only when it reproduces the cache's recorded hit and miss counts
 
-For state the trace cannot see (cache arrays, MAR/MDR), the analysis is
-conservative and reports *live*, so enabling pre-injection never silently
-prunes locations it does not understand.
+For state the trace cannot see (MAR/MDR, pins, a cache whose replay
+fails), the analysis is conservative and reports *live*, so enabling
+pre-injection never silently prunes locations it does not understand.
+
+:meth:`PreInjectionAnalysis.fate` asks the same question for the
+liveness exit of the campaign loop (DESIGN.md S2f): a fault whose every
+bit is overwritten before any read, or never touched again, ends with
+the golden outcome.
 
 Three pruning modes are available to campaigns
 (``CampaignData.preinjection_mode``):
@@ -39,8 +48,8 @@ from __future__ import annotations
 
 import bisect
 import re
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections import defaultdict
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.locations import FaultLocation, LocationSpace
 from repro.core.trace import Trace
@@ -51,25 +60,41 @@ _MEM_RE = re.compile(r"word\.0x([0-9a-fA-F]+)$")
 
 READ = "r"
 WRITE = "w"
+#: A cell the trace does not model (its next access is unknown).
+_UNKNOWN = "?"
+
+#: Verdicts of :meth:`PreInjectionAnalysis.fate`.
+LIVE = "live"
+OVERWRITTEN = "overwritten"
+LATENT = "latent"
 
 
-@dataclass
 class _AccessList:
-    """Time-ordered accesses to one location."""
+    """Time-ordered accesses to one location, as runs of one kind: each
+    run keeps only its last time, which answers :meth:`next_access` for
+    every instant up to it."""
 
-    times: List[int] = field(default_factory=list)
-    kinds: List[str] = field(default_factory=list)
+    __slots__ = ("times", "kinds", "_last")
+
+    def __init__(self) -> None:
+        self.times: List[int] = []
+        self.kinds: List[str] = []
+        self._last = ""
 
     def add(self, time: int, kind: str) -> None:
-        self.times.append(time)
-        self.kinds.append(kind)
+        if kind == self._last:
+            self.times[-1] = time
+        else:
+            self.times.append(time)
+            self.kinds.append(kind)
+            self._last = kind
 
-    def next_access_is_read(self, time: int) -> bool:
-        """Is the first access at or after ``time`` a read?"""
+    def next_access(self, time: int) -> Optional[str]:
+        """Kind of the first access at or after ``time`` (None: none)."""
         pos = bisect.bisect_left(self.times, time)
         if pos >= len(self.times):
-            return False
-        return self.kinds[pos] == READ
+            return None
+        return self.kinds[pos]
 
 
 class PreInjectionAnalysis:
@@ -78,76 +103,107 @@ class PreInjectionAnalysis:
     def __init__(
         self,
         registers: Dict[int, _AccessList],
-        flags: _AccessList,
+        flags: Dict[int, _AccessList],
         memory: Dict[int, _AccessList],
         duration: int,
+        trace: Trace,
     ):
         self._registers = registers
+        #: PSR bit -> its accesses.
         self._flags = flags
         self._memory = memory
         self._duration = duration
+        self._trace = trace
+        #: Cache name -> its replay (None: the replay failed), built on
+        #: the first question about one of its cells.
+        self._caches: Dict[str, Any] = {}
 
     @staticmethod
     def from_trace(trace: Trace, space: LocationSpace) -> "PreInjectionAnalysis":
-        registers: Dict[int, _AccessList] = {}
-        flags = _AccessList()
-        memory: Dict[int, _AccessList] = {}
-
-        def reg_list(index: int) -> _AccessList:
-            if index not in registers:
-                registers[index] = _AccessList()
-            return registers[index]
-
-        def mem_list(address: int) -> _AccessList:
-            if address not in memory:
-                memory[address] = _AccessList()
-            return memory[address]
-
+        registers: Dict[int, _AccessList] = defaultdict(_AccessList)
+        flags: Dict[int, _AccessList] = defaultdict(_AccessList)
+        memory: Dict[int, _AccessList] = defaultdict(_AccessList)
         for step in trace:
             t = step.cycle_before
             # Within one instruction, reads happen before writes; record
             # reads at t and writes at t so that a fault injected exactly
             # at the boundary *before* the instruction sees the read first
             # (a read at t makes the location live at time <= t).
-            for index in step.reg_reads:
-                reg_list(index).add(t, READ)
+            memory[step.pc].add(t, READ)  # the fetch
+            reads = step.reg_reads
+            for index in reads:
+                registers[index].add(t, READ)
             for index in step.reg_writes:
-                if index in step.reg_reads:
-                    continue  # the read already claims this instant
-                reg_list(index).add(t, WRITE)
-            if step.reads_flags:
-                flags.add(t, READ)
-            if step.writes_flags and not step.reads_flags:
-                flags.add(t, WRITE)
+                if index not in reads:  # the read already claims this instant
+                    registers[index].add(t, WRITE)
+            flag_reads = step.reads_flags
+            touched = flag_reads | step.writes_flags
+            while touched:
+                low = touched & -touched
+                touched ^= low
+                flags[low.bit_length() - 1].add(
+                    t, READ if flag_reads & low else WRITE
+                )
             if step.mem_address is not None:
                 kind = WRITE if step.mem_is_write else READ
-                mem_list(step.mem_address).add(t, kind)
+                memory[step.mem_address].add(t, kind)
         return PreInjectionAnalysis(
-            registers, flags, memory, duration=trace.duration_cycles
+            dict(registers), dict(flags), dict(memory),
+            duration=trace.duration_cycles, trace=trace,
         )
 
     # -- queries ---------------------------------------------------------------
 
-    def is_live(self, location: FaultLocation, time: int) -> bool:
+    def _next_access(self, location: FaultLocation, time: int) -> Optional[str]:
+        """READ, WRITE or None (never accessed again) for a cell the trace
+        models; :data:`_UNKNOWN` for any other."""
         path = location.path
         reg_match = _REG_RE.search(path)
         if reg_match is not None:
             accesses = self._registers.get(int(reg_match.group(1)))
-            if accesses is None:
-                return False
-            return accesses.next_access_is_read(time)
-        if path.endswith("cpu.psr"):
-            return self._flags.next_access_is_read(time)
+        elif path.endswith("cpu.psr"):
+            accesses = self._flags.get(location.bit)
+        else:
+            mem_match = _MEM_RE.search(path)
+            if mem_match is None:
+                return self._cache_access(path, time)
+            accesses = self._memory.get(int(mem_match.group(1), 16))
+        return None if accesses is None else accesses.next_access(time)
+
+    def _cache_access(self, path: str, time: int) -> Optional[str]:
+        name, _, cell = path.partition(".")
+        if name not in self._caches:
+            record = self._trace.caches.get(name)
+            self._caches[name] = (
+                None if record is None else record.replay(self._trace)
+            )
+        replay = self._caches[name]
+        if replay is None:
+            return _UNKNOWN
+        reads = replay.next_access(cell, time)
+        return None if reads is None else READ if reads else WRITE
+
+    def is_live(self, location: FaultLocation, time: int) -> bool:
+        path = location.path
         if path.endswith("cpu.pc") or path.endswith("pipeline.ir"):
             return time <= self._duration
-        mem_match = _MEM_RE.search(path)
-        if mem_match is not None:
-            accesses = self._memory.get(int(mem_match.group(1), 16))
-            if accesses is None:
-                return False
-            return accesses.next_access_is_read(time)
-        # Unknown state element: be conservative, never prune.
-        return True
+        # Unknown state elements stay live: never prune them.
+        return self._next_access(location, time) in (READ, _UNKNOWN)
+
+    def fate(self, location: FaultLocation, time: int) -> str:
+        """What the reference run does next to a bit injected into
+        ``location`` at ``time``: :data:`LIVE` when it may read it,
+        :data:`OVERWRITTEN` when it writes it before any read,
+        :data:`LATENT` when it never touches it again. Memory words
+        answer live: a direct injection clears the word's cached lines,
+        so a later access misses where the reference run hit. So does
+        every cell the trace does not model (PC, IR, MAR/MDR, pins)."""
+        if location.space.startswith("memory:"):
+            return LIVE
+        access = self._next_access(location, time)
+        if access is None:
+            return LATENT
+        return OVERWRITTEN if access == WRITE else LIVE
 
     def live_fraction(
         self,

@@ -10,12 +10,17 @@ abstract terms, so the core algorithms never import target-specific code.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
 class TraceStep:
-    """One executed instruction of the reference run."""
+    """One executed instruction of the reference run.
+
+    ``reads_flags`` and ``writes_flags`` are masks over the bits of the
+    status-register cell (``cpu.psr`` on Thor): nonzero when the step
+    reads or writes any flag, bit ``b`` set when it reads or writes bit
+    ``b``. Every step also fetches the word at ``pc``."""
 
     index: int
     pc: int
@@ -29,15 +34,23 @@ class TraceStep:
     mem_is_write: bool = False
     reg_reads: Tuple[int, ...] = ()
     reg_writes: Tuple[int, ...] = ()
-    reads_flags: bool = False
-    writes_flags: bool = False
+    reads_flags: int = 0
+    writes_flags: int = 0
 
 
 @dataclass
 class Trace:
-    """The full reference trace plus convenience queries."""
+    """The full reference trace plus convenience queries.
+
+    ``caches`` maps a cache's cell-path prefix (``dcache``) to the
+    port's record of what that cache did over the traced run: an object
+    whose ``replay(trace)`` returns the per-cell next-access view the
+    pre-injection oracle asks (:class:`repro.thor.cache.CacheRecord`),
+    or None when the trace does not account for every access. A cache
+    without a record has no cell the oracle can judge."""
 
     steps: List[TraceStep] = field(default_factory=list)
+    caches: Dict[str, Any] = field(default_factory=dict)
 
     def append(self, step: TraceStep) -> None:
         self.steps.append(step)

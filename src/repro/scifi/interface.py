@@ -36,7 +36,8 @@ from repro.environment.simulator import build_environment
 from repro.swifi.instrument import TrapInstrumenter, _invalidate_cached_word
 from repro.swifi.preruntime import flip_image_bit
 from repro.thor import isa
-from repro.thor.cpu import CpuConfig
+from repro.thor.cache import CacheRecord
+from repro.thor.cpu import FLAG_ACCESS, CpuConfig
 from repro.thor.isa import Opcode, try_decode
 from repro.thor.effects import register_effects
 from repro.thor.testcard import DebugEvent, DebugEventKind, TestCard
@@ -86,6 +87,7 @@ class ThorRDInterface(Framework):
         self._tracing = False
         self._trace = Trace()
         self._prev_cycles = 0
+        self._trace_caches: Dict[str, tuple] = {}
         # Detail-mode state.
         self._detail = False
         self._detail_states: List[StateVector] = []
@@ -461,15 +463,47 @@ class ThorRDInterface(Framework):
         )
 
     def start_trace(self) -> None:
+        cpu = self.card.cpu
         self._tracing = True
         self._trace = Trace()
-        self._prev_cycles = self.card.cpu.cycles
+        self._prev_cycles = cpu.cycles
+        # Counts at the start of each cache that starts empty: only
+        # those can be replayed from the trace.
+        self._trace_caches = {
+            cache.name: (cache.stats.hits, cache.stats.misses)
+            for cache in (cpu.icache, cpu.dcache)
+            if not any(line.valid for line in cache.lines)
+        }
         self._sync_step_hook()
 
     def stop_trace(self) -> Trace:
         self._tracing = False
         self._sync_step_hook()
+        self._trace.caches = self._cache_records()
         return self._trace
+
+    def _cache_records(self) -> Dict[str, CacheRecord]:
+        """What each cache that started the trace empty did over it. A
+        run that ended on HALT fetched the HALT after its last traced
+        step."""
+        cpu = self.card.cpu
+        halted = cpu.halted and cpu.trap_event is None
+        records = {}
+        for cache in (cpu.icache, cpu.dcache):
+            start = self._trace_caches.get(cache.name)
+            if start is None:
+                continue
+            fetches = cache is cpu.icache
+            records[cache.name] = CacheRecord(
+                n_lines=cache.n_lines,
+                words_per_line=cache.words_per_line,
+                hits=cache.stats.hits - start[0],
+                misses=cache.stats.misses - start[1],
+                fetches=fetches,
+                uncached_base=None if fetches else cpu.config.uncached_base,
+                tail=(cpu.last_exec.pc,) if fetches and halted else (),
+            )
+        return records
 
     def set_detail_logging(self, enabled: bool) -> None:
         self._detail = enabled
@@ -513,13 +547,12 @@ class ThorRDInterface(Framework):
             effects = register_effects(instr)
             reg_reads = tuple(sorted(effects.reg_reads))
             reg_writes = tuple(sorted(effects.reg_writes))
-            reads_flags = effects.reads_flags
-            writes_flags = effects.writes_flags
+            reads_flags, writes_flags = FLAG_ACCESS[instr.opcode]
             is_branch = instr.opcode in isa.BRANCHES
             is_call = instr.opcode is Opcode.CALL
         else:
             reg_reads = reg_writes = ()
-            reads_flags = writes_flags = False
+            reads_flags = writes_flags = 0
             is_branch = is_call = False
         step = TraceStep(
             index=len(self._trace),

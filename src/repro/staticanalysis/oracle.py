@@ -9,7 +9,8 @@ with no golden reference run. The price is precision, never soundness:
   (path-insensitive: without a trace the analysis cannot know which
   instruction executes at a given cycle, so it unions liveness over all
   reachable points). Registers the workload provably never reads are
-  pruned at every instant.
+  pruned at every instant. The PSR's overflow-trap enable bit is live
+  iff a reachable add or subtract can read it.
 * **PC / IR** — always live while the run is in progress (consumed by
   the very next fetch), dead after the reference duration when one is
   known.
@@ -32,6 +33,8 @@ from typing import List, Optional, Sequence
 
 from repro.core.locations import FaultLocation
 from repro.thor.assembler import Program
+from repro.thor.cpu import FLAG_ACCESS
+from repro.thor.registers import Psr
 from repro.staticanalysis.cfg import ControlFlowGraph, build_cfg
 from repro.staticanalysis.defuse import ReachingDefinitions
 from repro.staticanalysis.liveness import LivenessResult, compute_liveness
@@ -60,6 +63,13 @@ class StaticPreInjectionAnalysis:
         self.liveness: LivenessResult = compute_liveness(self.cfg)
         self._live_registers = self.liveness.ever_live_registers
         self._flags_live = self.liveness.flags_ever_live
+        # The PSR's overflow-trap enable bit is read by the writing add
+        # and subtract forms, not by the branches the flag liveness sees.
+        self._oe_live = any(
+            FLAG_ACCESS[self.cfg.defuse[address].instr.opcode][0]
+            & 1 << Psr.BIT_OE
+            for address in self.cfg.reachable
+        )
         self._memory_may_be_read = any(
             self.cfg.defuse[address].is_memory_read
             for address in self.cfg.reachable
@@ -102,6 +112,8 @@ class StaticPreInjectionAnalysis:
                 and self._in_run(time)
             )
         if path.endswith("cpu.psr"):
+            if location.bit == Psr.BIT_OE:
+                return self._oe_live and self._in_run(time)
             return self._flags_live and self._in_run(time)
         if path.endswith("cpu.pc") or path.endswith("pipeline.ir"):
             return self._in_run(time)

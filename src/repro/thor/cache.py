@@ -17,9 +17,11 @@ multiple simultaneous flips.
 
 from __future__ import annotations
 
+import bisect
+import re
 from array import array
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.thor.memory import WORD_TYPECODE
 from repro.util.bits import _BYTE_PARITY, parity
@@ -250,3 +252,135 @@ class Cache:
         self.stats.hits = hits
         self.stats.misses = misses
         self.stats.parity_errors = parity_errors
+
+
+# ---------------------------------------------------------------------------
+# Next-event replay: the pre-injection oracle's view of a cache
+# ---------------------------------------------------------------------------
+
+# One access to a line, as the replay records it: the accessed word's
+# offset in the low byte, then what the access was and found.
+_OFFSET = 0xFF
+_HIT = 1 << 8
+_VALID = 1 << 9
+_STORE = 1 << 10
+
+
+@dataclass(frozen=True)
+class CacheRecord:
+    """What one cache did over a traced reference run that started with
+    the cache empty: its geometry and the hits and misses it counted.
+    The pre-injection oracle replays the trace through :meth:`replay` to
+    tell, for each stored cell, whether the next access reads it.
+
+    ``fetches`` marks the instruction cache: it sees one read per traced
+    step at the step's PC, then ``tail``, the fetches after the last
+    traced step (the halting instruction, which the card's step hook
+    does not see). The data cache sees each step's ``mem_address``
+    below ``uncached_base`` (the MMIO window bypasses it), as a store
+    when ``mem_is_write``. PUSH and POP leave ``mem_address`` unset, so
+    the replay of a workload using them comes up short of the counts."""
+
+    n_lines: int
+    words_per_line: int
+    hits: int
+    misses: int
+    fetches: bool = False
+    uncached_base: Optional[int] = None
+    tail: Tuple[int, ...] = ()
+
+    def replay(self, trace) -> Optional["CacheReplay"]:
+        """Replay ``trace``'s accesses through an empty cache of this
+        geometry. None when the replay's hit or miss count differs from
+        the recorded one: the trace then does not hold every access this
+        cache saw, and none of its cells may be judged from it."""
+        if self.fetches:
+            accesses = [(step.cycle_before, step.pc, False) for step in trace]
+            end = trace.duration_cycles
+            accesses += [(end, pc, False) for pc in self.tail]
+        else:
+            limit = self.uncached_base
+            accesses = [
+                (step.cycle_before, step.mem_address, step.mem_is_write)
+                for step in trace
+                if step.mem_address is not None
+                and (limit is None or step.mem_address < limit)
+            ]
+        offset_bits = self.words_per_line.bit_length() - 1
+        index_mask = self.n_lines - 1
+        tag_shift = offset_bits + self.n_lines.bit_length() - 1
+        valid = [False] * self.n_lines
+        tags = [0] * self.n_lines
+        times: List[List[int]] = [[] for _ in range(self.n_lines)]
+        codes: List[List[int]] = [[] for _ in range(self.n_lines)]
+        hits = 0
+        for time, address, store in accesses:
+            index = (address >> offset_bits) & index_mask
+            code = address & (self.words_per_line - 1)
+            if store:
+                code |= _STORE
+            if valid[index]:
+                code |= _VALID
+                if tags[index] == address >> tag_shift:
+                    code |= _HIT
+                    hits += 1
+            if not code & (_HIT | _STORE):
+                # A read miss fills the line; a store miss allocates nothing.
+                valid[index] = True
+                tags[index] = address >> tag_shift
+            times[index].append(time)
+            codes[index].append(code)
+        if hits != self.hits or len(accesses) - hits != self.misses:
+            return None
+        return CacheReplay(times, codes)
+
+
+class CacheReplay:
+    """Per-line access events of one replayed cache (:meth:`CacheRecord.replay`)."""
+
+    def __init__(self, times: List[List[int]], codes: List[List[int]]):
+        self._times = times
+        self._codes = codes
+
+    def next_access(self, cell: str, time: int) -> Optional[bool]:
+        """What the first access at or after ``time`` does to ``cell``, a
+        path below the cache such as ``line3.word1``: True when it reads
+        the cell, False when it overwrites it, None when no access
+        touches it again. A cell the replay does not know reads as True.
+
+        The rules are :meth:`Cache.read` and :meth:`Cache.write`'s. Every
+        access reads the line's valid bit. An access to a valid line
+        checks its tag against the tag parity bit and compares it, so
+        both are read. A read hit reads its word and that word's parity
+        bit. A read miss fills the line: tag, tag parity and every word
+        and parity bit are overwritten. A store hit overwrites its word
+        and parity bit; a store miss changes nothing in the line."""
+        match = _CELL_RE.match(cell)
+        if match is None:
+            return True
+        line, name, word = match.groups()
+        times = self._times[int(line)]
+        codes = self._codes[int(line)]
+        start = bisect.bisect_left(times, time)
+        if name == "valid":
+            return True if start < len(codes) else None
+        if name in ("tag", "tag_parity"):
+            for position in range(start, len(codes)):
+                code = codes[position]
+                if code & _VALID:
+                    return True
+                if not code & _STORE:
+                    return False
+            return None
+        offset = int(word)
+        for position in range(start, len(codes)):
+            code = codes[position]
+            if not code & _HIT:
+                if not code & _STORE:
+                    return False
+            elif code & _OFFSET == offset:
+                return not code & _STORE
+        return None
+
+
+_CELL_RE = re.compile(r"line(\d+)\.(valid|tag|tag_parity|word|parity)(\d*)$")

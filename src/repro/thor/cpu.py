@@ -554,6 +554,46 @@ assert {
     if "BRANCH " in text or "JUMP " in text
 } == _TRANSFERS, "transfer templates out of sync with isa.SEMANTICS"
 
+_PSR_BITS = {
+    "z": Psr.BIT_Z,
+    "n": Psr.BIT_N,
+    "c": Psr.BIT_C,
+    "v": Psr.BIT_V,
+    "overflow_enable": Psr.BIT_OE,
+}
+
+
+def _flag_access(template: str) -> Tuple[int, int]:
+    """``(reads, writes)`` masks over the PSR bits ``template`` names:
+    ``psr.<flag> = ...`` writes the flag, any other mention reads it."""
+    reads = writes = 0
+    for match in re.finditer(r"\bpsr\.(\w+)(\s*=(?!=))?", template):
+        bit = 1 << _PSR_BITS[match.group(1)]
+        if match.group(2):
+            writes |= bit
+        else:
+            reads |= bit
+    return reads, writes
+
+
+#: Opcode -> (PSR bits it reads, PSR bits it writes), as masks over
+#: ``Psr.BIT_*``. The reference trace records them per step, so the
+#: pre-injection oracle judges the PSR bit by bit: the logic, shift,
+#: multiply/divide, NOT and MOV forms write only Z and N; the add,
+#: subtract and compare forms write C and V as well; the writing add and
+#: subtract forms read OE (their overflow trap), and the branches read
+#: the flags their condition names. OE counts as read even when the
+#: operation does not overflow, which the trace cannot tell.
+FLAG_ACCESS: Dict[Opcode, Tuple[int, int]] = {
+    op: _flag_access(text) for op, text in _TEMPLATES.items()
+}
+_ARITH_FLAGS = ~(1 << Psr.BIT_OE)
+assert all(
+    bool(FLAG_ACCESS[op][0] & _ARITH_FLAGS) == sem.reads_flags
+    and bool(FLAG_ACCESS[op][1]) == sem.writes_flags
+    for op, sem in isa.SEMANTICS.items()
+), "flag templates out of sync with isa.SEMANTICS"
+
 #: The template locals, bound at the top of a generated function when
 #: its body names them.
 _LOCALS = {

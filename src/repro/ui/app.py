@@ -159,10 +159,11 @@ def _build_parser() -> argparse.ArgumentParser:
                         "hard-fail the campaign if any outcome diverges "
                         "from its derivation")
     p.add_argument("--no-early-exit", action="store_true",
-                   help="disable divergence-window early exits and "
-                        "outcome memoization: simulate every faulty run "
-                        "to workload end (the escape hatch for "
-                        "debugging or timing studies)")
+                   help="disable liveness exits (faults the reference "
+                        "trace proves dead), divergence-window digest "
+                        "exits and outcome memoization: simulate every "
+                        "faulty run to workload end (the escape hatch "
+                        "for debugging or timing studies)")
 
     p = sub.add_parser(
         "analyze",

@@ -17,7 +17,7 @@ def reg_loc(n, bit=0):
     return FaultLocation("scan:internal", f"cpu.regfile.r{n}", bit)
 
 
-def make_analysis():
+def make_trace():
     """Reference trace:
        step 0 (cycles 0-10):  write r1
        step 1 (cycles 10-20): read r1, write r2; write flags
@@ -25,7 +25,7 @@ def make_analysis():
        step 3 (cycles 30-40): write r2; store to 0x300
        step 4 (cycles 40-50): load from 0x300 into r3
     """
-    trace = Trace(
+    return Trace(
         [
             step(0, reg_writes=(1,)),
             step(1, reg_reads=(1,), reg_writes=(2,), writes_flags=True),
@@ -36,8 +36,11 @@ def make_analysis():
                  reg_writes=(3,)),
         ]
     )
+
+
+def make_analysis():
     space = LocationSpace([LocationCell("scan:internal", "cpu.pc", 16)])
-    return PreInjectionAnalysis.from_trace(trace, space)
+    return PreInjectionAnalysis.from_trace(make_trace(), space)
 
 
 class TestRegisterLiveness:
@@ -112,7 +115,92 @@ class TestFlagAndSpecialLiveness:
             assert not analysis.is_live(location, 51)
 
 
+class TestPsrBits:
+    """The PSR is judged bit by bit from each step's flag masks."""
+
+    @staticmethod
+    def analysis():
+        """step 0: writes Z and N (a MOV); step 1: writes Z, N, C, V and
+        reads OE (an ADD); step 2: reads N and V (a BLT)."""
+        trace = Trace([
+            step(0, writes_flags=0b00011),
+            step(1, reads_flags=0b10000, writes_flags=0b01111),
+            step(2, reads_flags=0b01010),
+        ])
+        space = LocationSpace([LocationCell("scan:internal", "cpu.psr", 5)])
+        return PreInjectionAnalysis.from_trace(trace, space)
+
+    def test_bits_follow_their_own_accesses(self):
+        from repro.core.preinjection import LATENT, LIVE, OVERWRITTEN
+
+        analysis = self.analysis()
+
+        def fate(bit, time):
+            return analysis.fate(
+                FaultLocation("scan:internal", "cpu.psr", bit), time
+            )
+
+        # Before the MOV: Z and N are overwritten there, C and V by the
+        # ADD, and OE is read by the ADD.
+        assert [fate(bit, 0) for bit in range(5)] == [
+            OVERWRITTEN, OVERWRITTEN, OVERWRITTEN, OVERWRITTEN, LIVE
+        ]
+        # After the ADD: the BLT reads N and V; Z, C and OE stay latent.
+        assert [fate(bit, 15) for bit in range(5)] == [
+            LATENT, LIVE, LATENT, LIVE, LATENT
+        ]
+        assert analysis.is_live(
+            FaultLocation("scan:internal", "cpu.psr", 3), 15
+        )
+        assert not analysis.is_live(
+            FaultLocation("scan:internal", "cpu.psr", 2), 15
+        )
+
+
+class TestExitVerdicts:
+    def test_untraced_cells_answer_live(self):
+        """PC, IR, MAR/MDR, pins and memory words are never dead for the
+        liveness exit, at any time."""
+        from repro.core.preinjection import LIVE
+
+        analysis = make_analysis()
+        for space, path in (
+            ("scan:internal", "cpu.pc"),
+            ("scan:internal", "cpu.pipeline.ir"),
+            ("scan:internal", "cpu.pipeline.mar"),
+            ("scan:internal", "cpu.pipeline.mdr"),
+            ("scan:boundary", "pins.data_bus"),
+            ("scan:boundary", "pins.force_mask"),
+            ("scan:internal", "cpu.cycle_counter"),
+            ("scan:internal", "dcache.line0.word1"),
+            ("memory:data", "word.0x0300"),
+            ("memory:data", "word.0x0999"),
+        ):
+            for time in (0, 25, 9999):
+                assert analysis.fate(FaultLocation(space, path, 0), time) == LIVE
+
+    def test_register_verdicts(self):
+        from repro.core.preinjection import LATENT, LIVE, OVERWRITTEN
+
+        analysis = make_analysis()
+        assert analysis.fate(reg_loc(1), 5) == LIVE
+        assert analysis.fate(reg_loc(2), 25) == OVERWRITTEN
+        assert analysis.fate(reg_loc(2), 35) == LATENT
+        assert analysis.fate(
+            FaultLocation("swreg", "cpu.regfile.r1", 0), 5
+        ) == LIVE
+
+
 class TestMemoryLiveness:
+    def test_fetch_reads_the_code_word(self):
+        """Each step's fetch reads the word at its PC (fixture steps sit
+        at 0x100 + i)."""
+        analysis = make_analysis()
+        location = FaultLocation("memory:code", "word.0x0102", 0)
+        assert analysis.is_live(location, 20)
+        assert not analysis.is_live(location, 21)
+
+
     def test_memory_live_between_write_and_read(self):
         analysis = make_analysis()
         location = FaultLocation("memory:data", "word.0x0300", 0)
@@ -249,6 +337,37 @@ class TestBuildLivenessOracle:
                 "hybrid", None, self._space(),
                 program=assemble("start: halt"),
             )
+
+
+class TestCacheCells:
+    def test_cache_cells_follow_the_replay(self):
+        """With a record of the dcache, a line's cells are judged from
+        the replayed accesses: the store to 0x300 misses an empty line,
+        the load then fills line 0 (0x300 maps there), overwriting its
+        words, and nothing touches the line afterwards."""
+        from repro.core.preinjection import LATENT, LIVE, OVERWRITTEN
+        from repro.thor.cache import CacheRecord
+
+        trace = make_trace()
+        trace.caches = {"dcache": CacheRecord(16, 4, hits=0, misses=2)}
+        analysis = PreInjectionAnalysis.from_trace(trace, LocationSpace([]))
+
+        def fate(path, time):
+            return analysis.fate(FaultLocation("scan:internal", path, 0), time)
+
+        assert fate("dcache.line0.valid", 35) == LIVE
+        assert fate("dcache.line0.word1", 35) == OVERWRITTEN
+        assert fate("dcache.line0.tag", 35) == OVERWRITTEN
+        assert fate("dcache.line0.word1", 45) == LATENT
+        assert fate("dcache.line1.valid", 0) == LATENT
+        # The icache has no record: its cells stay live.
+        assert fate("icache.line0.word1", 45) == LIVE
+        # A record whose counts the trace does not reproduce judges nothing.
+        trace.caches = {"dcache": CacheRecord(16, 4, hits=1, misses=1)}
+        analysis = PreInjectionAnalysis.from_trace(trace, LocationSpace([]))
+        assert analysis.fate(
+            FaultLocation("scan:internal", "dcache.line0.word1", 0), 45
+        ) == LIVE
 
 
 class TestEndToEndLiveness:

@@ -57,7 +57,8 @@ def _oracles(workload):
 
 
 def _sample_locations(target):
-    """Register bits, PSR, PC, IR, and memory words of the workload."""
+    """Register bits, every PSR bit, PC, IR, and memory words of the
+    workload (code words first: the dynamic oracle reads each fetch)."""
     space = target.location_space()
     locations = [
         FaultLocation("scan:internal", f"cpu.regfile.r{n}", bit)
@@ -65,7 +66,9 @@ def _sample_locations(target):
         for bit in (0, 15)
     ]
     locations += [
-        FaultLocation("scan:internal", "cpu.psr", 0),
+        FaultLocation("scan:internal", "cpu.psr", bit) for bit in range(5)
+    ]
+    locations += [
         FaultLocation("scan:internal", "cpu.pc", 0),
         FaultLocation("scan:internal", "cpu.pipeline.ir", 0),
     ]

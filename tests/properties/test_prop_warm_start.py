@@ -1,8 +1,8 @@
 """Property test: warm-started experiments are byte-identical to cold.
 
 The warm-start correctness gate (E13): for any campaign shape, running
-with ``warm_start=True`` (checkpoint restore at the nearest capture at
-or before the first injection time) must produce exactly the results of
+with ``warm_start=True`` (checkpoint restore at the latest capture
+strictly before the first injection time) must produce exactly the results of
 ``warm_start=False`` (the paper's cold start-from-reset path) — same
 injections, same terminations, same outputs, same observed state — for
 every technique, seed and workload. The only tolerated difference is
@@ -10,9 +10,10 @@ the wall-clock field, which is nondeterministic in both modes.
 
 Hypothesis drives technique, seed, campaign size and checkpoint
 cadence; the invariant is exact equality of the canonicalised results.
-The same gate covers the divergence-window accelerations stacked on
-top of warm starts: early exits and outcome-memo replays must be
-byte-identical to the plain run-to-termination tail.
+The same gate covers the accelerations stacked on top of warm starts:
+liveness exits, digest early exits and outcome-memo replays must be
+byte-identical to the plain run-to-termination tail, over location sets
+that reach every cell kind the liveness exit judges.
 """
 
 import dataclasses
@@ -32,6 +33,25 @@ _TECHNIQUE_PATTERNS = {
     "swifi-runtime": ["memory:data/*"],
 }
 
+#: The location sets the early-exit gate draws from: every cell kind the
+#: liveness exit judges (registers, PSR bits, cache arrays) and the ones
+#: it must leave live (memory words, code included; pins).
+_EXIT_PATTERNS = {
+    "scifi": [
+        ["scan:internal/cpu.regfile.*"],
+        ["scan:internal/cpu.regfile.*", "scan:internal/cpu.psr"],
+        ["scan:internal/cpu.psr"],
+        ["scan:internal/dcache.*"],
+        ["scan:internal/icache.*"],
+    ],
+    "simfi": [
+        ["scan:internal/cpu.regfile.*", "memory:data/*"],
+        ["memory:code/*"],
+    ],
+    "pinlevel": [_TECHNIQUE_PATTERNS["pinlevel"]],
+    "swifi-runtime": [_TECHNIQUE_PATTERNS["swifi-runtime"]],
+}
+
 campaign_shapes = st.fixed_dictionaries(
     {
         "technique": st.sampled_from(sorted(_TECHNIQUE_PATTERNS)),
@@ -40,6 +60,21 @@ campaign_shapes = st.fixed_dictionaries(
         "workload_name": st.sampled_from(["vecsum", "bubblesort"]),
         "checkpoint_interval": st.sampled_from([None, 64, 1000]),
     }
+)
+
+#: quicksort's PUSH and POP reach the dcache outside the trace.
+exit_shapes = st.fixed_dictionaries(
+    {
+        "technique": st.sampled_from(sorted(_EXIT_PATTERNS)),
+        "seed": st.integers(min_value=0, max_value=2**16),
+        "n_experiments": st.integers(min_value=1, max_value=6),
+        "workload_name": st.sampled_from(["vecsum", "bubblesort", "quicksort"]),
+        "checkpoint_interval": st.sampled_from([None, 64, 1000]),
+    }
+).flatmap(
+    lambda shape: st.sampled_from(_EXIT_PATTERNS[shape["technique"]]).map(
+        lambda patterns: dict(shape, location_patterns=patterns)
+    )
 )
 
 
@@ -56,7 +91,9 @@ def _run(shape, warm, plain=False):
     campaign = make_campaign(
         campaign_name="warm-prop",
         technique=shape["technique"],
-        location_patterns=_TECHNIQUE_PATTERNS[shape["technique"]],
+        location_patterns=shape.get(
+            "location_patterns", _TECHNIQUE_PATTERNS[shape["technique"]]
+        ),
         seed=shape["seed"],
         n_experiments=shape["n_experiments"],
         workload_name=shape["workload_name"],
@@ -91,19 +128,47 @@ class TestWarmColdEquivalence:
             assert target._checkpoints is None
 
     @settings(
-        max_examples=12,
+        max_examples=24,
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow],
     )
-    @given(shape=campaign_shapes)
+    @given(shape=exit_shapes)
     def test_early_exit_equals_plain_tail(self, shape):
-        """Divergence-window early exits and memo replays must be
+        """Liveness exits, digest early exits and memo replays must be
         invisible in the logged rows: the default accelerated path is
         byte-identical to the plain run-to-termination tail for every
-        technique, seed, workload and checkpoint cadence."""
+        technique, location set, seed, workload and checkpoint
+        cadence."""
         accelerated, _ = _run(shape, warm=True)
         plain, _ = _run(shape, warm=True, plain=True)
         assert accelerated == plain
+
+    def test_fixed_campaign_takes_liveness_exits(self):
+        """One fixed shape must really exit at injection, so the gate
+        above cannot pass by never taking the exit."""
+        from repro.observability import configure, disable, get_observability
+
+        shape = {
+            "technique": "scifi",
+            "seed": 11,
+            "n_experiments": 6,
+            "workload_name": "bubblesort",
+            "checkpoint_interval": 64,
+            "location_patterns": [
+                "scan:internal/cpu.regfile.*",
+                "scan:internal/cpu.psr",
+                "scan:internal/dcache.*",
+            ],
+        }
+        configure(metrics=True)
+        try:
+            accelerated, _ = _run(shape, warm=True)
+            counters = get_observability().metrics.snapshot()["counters"]
+        finally:
+            disable()
+        plain, _ = _run(shape, warm=True, plain=True)
+        assert accelerated == plain
+        assert counters.get("divergence.liveness_exits", 0) >= 1
 
     def test_warm_saves_simulated_cycles(self):
         """The restore really skips prefix simulation (counter check)."""

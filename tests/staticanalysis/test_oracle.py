@@ -80,6 +80,17 @@ class TestSpecialCells:
         assert with_branch.is_live(psr, 5)
         assert not without.is_live(psr, 5)
 
+    def test_oe_live_iff_an_add_or_subtract_is_reachable(self):
+        """The writing add and subtract forms read the overflow-trap
+        enable bit (bit 4), which no branch does."""
+        oe = FaultLocation("scan:internal", "cpu.psr", 4)
+        assert StaticPreInjectionAnalysis(assemble(PROGRAM_TEXT)).is_live(oe, 5)
+        no_add = StaticPreInjectionAnalysis(assemble(LOOP_TEXT.replace(
+            "addi r2, r2, 1", "ori r2, r2, 1"
+        )))
+        assert not no_add.is_live(oe, 5)
+        assert no_add.is_live(FaultLocation("scan:internal", "cpu.psr", 0), 5)
+
     def test_unknown_cells_conservatively_live(self):
         oracle = StaticPreInjectionAnalysis(
             assemble(PROGRAM_TEXT), duration=10

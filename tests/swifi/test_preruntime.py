@@ -72,3 +72,34 @@ class TestCampaignLevel:
         sink = thor_target.run_campaign(campaign)
         summary = classify_campaign(sink.results, sink.reference)
         assert summary.count(Outcome.ESCAPED_VALUE) > 0
+
+    def test_preinjection_keeps_code_words_fetched_later(self, thor_target):
+        """Pre-injection analysis counts each step's fetch as a read of
+        the word at its PC, so a code-image campaign finds live words:
+        every sampled word is fetched at or after its sampled time."""
+        from tests.conftest import make_campaign
+
+        campaign = make_campaign(
+            technique="swifi-pre",
+            location_patterns=["memory:code/*"],
+            workload_name="bubblesort",
+            workload_params={"n": 8, "seed": 7},
+            use_preinjection=True,
+            n_experiments=12,
+            seed=5,
+        )
+        sink = thor_target.run_campaign(campaign)
+        assert len(sink.results) == 12
+        reference = sink.reference
+        for result in sink.results:
+            plan = thor_target.plan_experiment(result.index, reference)
+            (action,) = plan.sorted_actions()
+            (location,) = action.locations
+            assert [injection.location for injection in result.injections] == [
+                location
+            ]
+            address = int(location.path.split("0x", 1)[1], 16)
+            assert any(
+                step.pc == address and step.cycle_before >= action.time
+                for step in reference.trace
+            ), location.key()
