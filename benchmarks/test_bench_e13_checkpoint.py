@@ -5,9 +5,11 @@ subsystem (``repro.core.checkpoint``). One SCIFI campaign with a *late*
 fixed-time trigger — the regime checkpointing targets, where every
 experiment would otherwise re-simulate a long fault-free prefix — is
 executed twice on fresh targets: once with ``warm_start=False`` (the
-paper's cold start-from-reset path of Figure 2) and once with
-``warm_start=True`` (restore the nearest reference-run checkpoint at or
-before the injection time, then run forward). Results are compared
+paper's cold start-from-reset path of Figure 2, with early exit off)
+and once with ``warm_start=True`` and the ``goofi run`` defaults
+(restore the last reference-run checkpoint strictly before the
+injection time and run forward; the liveness exit, the outcome memo and
+divergence probes stay on). Results are compared
 field-for-field (modulo wall clock) and the warm leg's
 ``checkpoint.cycles_saved`` counter is captured from the observability
 layer.

@@ -3,8 +3,9 @@
 Regenerates: the acceleration study for the vectorized Thor execution
 core (array-backed memory, shared decode memo, one per-opcode template
 table instantiated as the step path's execute functions and as compiled
-blocks of straight-line code, batched scan shifts, zero-copy checkpoint
-digests). The same chip is driven twice — once on the shipped core
+blocks of straight-line code, compiled scan-chain readers with
+value-backed chain images, typed-array checkpoint snapshots). The same
+chip is driven twice — once on the shipped core
 (:meth:`repro.thor.cpu.Cpu.run_block`, stepping where no block may run)
 and once on the seed's straight-line decode/if-chain core with blocks
 off, kept as a test oracle in ``tests/reference_core.py`` — at two

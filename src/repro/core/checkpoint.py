@@ -65,8 +65,10 @@ __all__ = [
 #: requirement. v3: bulk payloads (memory pages, cache arrays, scan-chain
 #: captures) travel as typed ``array`` buffers hashed via ``tobytes`` —
 #: a different canonical encoding than the v2 int-list walk, so v2
-#: stores miss cleanly through the golden-cache key.
-CHECKPOINT_FORMAT = 3
+#: stores miss cleanly through the golden-cache key. v4: the CPU
+#: snapshot is a few typed arrays (registers, one scalar array, one
+#: array per cache field) instead of nested per-line tuples.
+CHECKPOINT_FORMAT = 4
 
 #: Words per memory page in the dirty-page delta encoding (2^8 words —
 #: small enough that a sparse workload dirties few pages, large enough
@@ -102,54 +104,64 @@ def state_digest(parts: Any) -> str:
     Accepts ``None``, bools, ints, strings, bytes, typed ``array``
     buffers, lists/tuples and dicts (keys sorted, so insertion order
     never leaks into the fingerprint). Typed arrays — the dominant
-    payload since checkpoint format v3: memory pages, cache data words,
-    scan-chain captures — are hashed zero-copy via ``tobytes``; integer
-    lists still take a packed fast path. Every node is type-tagged so
-    e.g. ``0`` and ``False`` and ``""`` cannot collide.
+    payload: memory pages, the CPU snapshot's registers, scalars and
+    cache arrays (checkpoint format v4), scan-chain captures — enter as
+    their ``tobytes``; integer lists take a packed fast path. Every node
+    is type-tagged so e.g. ``0`` and ``False`` and ``""`` cannot
+    collide. The encoding is collected and hashed in one ``update``.
     """
-    digest = hashlib.sha256()
-    _feed(digest, parts)
-    return digest.hexdigest()
+    chunks: List[bytes] = []
+    _encode(chunks, parts)
+    return hashlib.sha256(b"".join(chunks)).hexdigest()
 
 
-def _feed(digest: "hashlib._Hash", obj: Any) -> None:
-    if obj is None:
-        digest.update(b"\x00N")
-    elif isinstance(obj, bool):
-        digest.update(b"\x00b1" if obj else b"\x00b0")
-    elif isinstance(obj, int):
-        digest.update(b"\x00I")
-        digest.update(str(obj).encode("ascii"))
-    elif isinstance(obj, str):
-        digest.update(b"\x00S")
-        digest.update(obj.encode("utf-8"))
-    elif isinstance(obj, bytes):
-        digest.update(b"\x00B")
-        digest.update(obj)
+def _array_chunks(buffer: array) -> Tuple[bytes, ...]:
+    # The typecode is part of the tag so e.g. array("I") and array("Q")
+    # holding equal values stay distinct, mirroring the type-tagging of
+    # every other node.
+    return (
+        b"\x00A",
+        buffer.typecode.encode("ascii"),
+        b"%d" % len(buffer),
+        buffer.tobytes(),
+    )
+
+
+def _encode(chunks: List[bytes], obj: Any) -> None:
+    # Most frequent node types first; bool before int (bool is an int).
+    if isinstance(obj, dict):
+        chunks += (b"\x00D", b"%d" % len(obj))
+        for key in sorted(obj):
+            # The usual string key and array value (a snapshot is
+            # mostly those) are encoded inline, to the same bytes.
+            if type(key) is str:
+                chunks += (b"\x00S", key.encode("utf-8"))
+            else:
+                _encode(chunks, key)
+            value = obj[key]
+            if type(value) is array:
+                chunks += _array_chunks(value)
+            else:
+                _encode(chunks, value)
     elif isinstance(obj, array):
-        # Zero-copy path: the buffer is fed to the hash directly. The
-        # typecode is part of the tag so e.g. array("I") and array("Q")
-        # holding equal values stay distinct, mirroring the type-tagging
-        # of every other node.
-        digest.update(b"\x00A")
-        digest.update(obj.typecode.encode("ascii"))
-        digest.update(str(len(obj)).encode("ascii"))
-        digest.update(obj.tobytes())
+        chunks += _array_chunks(obj)
+    elif isinstance(obj, bool):
+        chunks.append(b"\x00b1" if obj else b"\x00b0")
+    elif isinstance(obj, int):
+        chunks += (b"\x00I", b"%d" % obj)
+    elif obj is None:
+        chunks.append(b"\x00N")
+    elif isinstance(obj, str):
+        chunks += (b"\x00S", obj.encode("utf-8"))
+    elif isinstance(obj, bytes):
+        chunks += (b"\x00B", obj)
     elif isinstance(obj, (list, tuple)):
-        digest.update(b"\x00L")
-        digest.update(str(len(obj)).encode("ascii"))
+        chunks += (b"\x00L", b"%d" % len(obj))
         if obj and all(type(item) is int for item in obj):
-            digest.update(b"A")
-            digest.update(array("q", obj).tobytes())
+            chunks += (b"A", array("q", obj).tobytes())
         else:
             for item in obj:
-                _feed(digest, item)
-    elif isinstance(obj, dict):
-        digest.update(b"\x00D")
-        digest.update(str(len(obj)).encode("ascii"))
-        for key in sorted(obj):
-            _feed(digest, key)
-            _feed(digest, obj[key])
+                _encode(chunks, item)
     else:
         raise TypeError(
             f"state_digest cannot hash {type(obj).__name__!r} values"

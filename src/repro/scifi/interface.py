@@ -615,21 +615,23 @@ class ThorRDInterface(Framework):
         env_blob = pickle.dumps(
             self._environment, protocol=pickle.HIGHEST_PROTOCOL
         )
+        # One snapshot serves the payload and both digests.
+        snapshot = self.card.cpu.snapshot()
         payload = {
-            "cpu": self.card.cpu.snapshot(),
+            "cpu": snapshot,
             "protected": list(memory.protected_range()),
             "environment": env_blob,
         }
         pages = {page: memory.read_page(page) for page in sorted(dirty)}
         fingerprint = self._checkpoint_fingerprint(
-            sorted(self._checkpoint_pages), env_blob
+            sorted(self._checkpoint_pages), env_blob, snapshot
         )
         return CheckpointTick(
             cycle=self.card.cpu.cycles,
             payload=payload,
             dirty_pages=pages,
             fingerprint=fingerprint,
-            core_fingerprint=self._core_fingerprint(),
+            core_fingerprint=self._core_fingerprint(snapshot),
         )
 
     def restore_checkpoint(self, image: RestoreImage) -> None:
@@ -722,10 +724,11 @@ class ThorRDInterface(Framework):
             sorted(self._checkpoint_pages), env_blob
         )
 
-    def _core_fingerprint(self) -> str:
-        """Digest of the run counters and the full CPU snapshot — every
-        part appears verbatim in :meth:`_checkpoint_fingerprint`, which
-        is what makes the cheap-rejection contract sound."""
+    def _core_fingerprint(self, snapshot: Optional[dict] = None) -> str:
+        """Digest of the run counters and the full CPU snapshot (taken
+        now unless given) — every part appears verbatim in
+        :meth:`_checkpoint_fingerprint`, which is what makes the
+        cheap-rejection contract sound."""
         cpu = self.card.cpu
         return state_digest(
             {
@@ -733,18 +736,22 @@ class ThorRDInterface(Framework):
                 "instret": cpu.instret,
                 "iterations": cpu.iterations,
                 "halted": cpu.halted,
-                "cpu": cpu.snapshot(),
+                "cpu": cpu.snapshot() if snapshot is None else snapshot,
             }
         )
 
     def _checkpoint_fingerprint(
-        self, pages: Sequence[int], env_blob: bytes
+        self,
+        pages: Sequence[int],
+        env_blob: bytes,
+        snapshot: Optional[dict] = None,
     ) -> str:
         """Canonical digest of the card's full live state: run counters,
         the complete CPU snapshot, every scan-visible cell, the listed
         memory pages, the protection range and the environment
         simulator. Computed identically at capture and after restore —
-        any divergence trips the cold fallback.
+        any divergence trips the cold fallback. ``snapshot`` is the CPU
+        snapshot when the caller already took one.
 
         The full ``cpu.snapshot()`` (not just the scan-visible chains)
         makes the digest *total* with respect to future execution —
@@ -753,11 +760,11 @@ class ThorRDInterface(Framework):
         what lets the divergence-window runner treat digest equality as
         proof of re-convergence (checkpoint format v2).
 
-        Since checkpoint format v3 the bulk parts are contiguous
-        buffers hashed zero-copy: chains contribute
-        :meth:`~repro.thor.scanchain.ScanChain.capture_words` arrays
+        Every part is a handful of contiguous buffers hashed with
+        ``tobytes``: the snapshot's typed arrays (checkpoint format v4),
+        each chain's :meth:`~repro.thor.scanchain.ScanChain.capture_words`
         (cell order is structural, so values alone identify the state)
-        and memory pages arrive as ``array`` slices from
+        and memory pages as ``array`` slices from
         :meth:`~repro.thor.memory.Memory.read_page`."""
         cpu = self.card.cpu
         memory = cpu.memory
@@ -766,7 +773,7 @@ class ThorRDInterface(Framework):
             "instret": cpu.instret,
             "iterations": cpu.iterations,
             "halted": cpu.halted,
-            "cpu": cpu.snapshot(),
+            "cpu": cpu.snapshot() if snapshot is None else snapshot,
             "chains": {
                 name: chain.capture_words()
                 for name, chain in self.card.chains.items()

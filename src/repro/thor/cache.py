@@ -21,7 +21,7 @@ import bisect
 import re
 from array import array
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.thor.memory import WORD_TYPECODE
 from repro.util.bits import _BYTE_PARITY, parity
@@ -70,14 +70,6 @@ class CacheStats:
         self.hits = 0
         self.misses = 0
         self.parity_errors = 0
-
-
-def _as_array(values: Sequence[int], typecode: str) -> array:
-    """Coerce a snapshot row to the line's array type (snapshots made by
-    this build already are; integer sequences are converted)."""
-    if isinstance(values, array) and values.typecode == typecode:
-        return values
-    return array(typecode, values)
 
 
 class Cache:
@@ -212,46 +204,50 @@ class Cache:
         return 0
 
     # -- checkpoint support ----------------------------------------------------
-    # Snapshot/restore mutate the existing CacheLine objects in place (the
-    # scan cells close over the cache object and index lines on access, so
-    # either would work — in-place keeps allocation off the restore path).
+    # Snapshot/restore copy the line fields into and out of flat typed
+    # arrays and mutate the existing CacheLine objects in place (the scan
+    # cells index ``lines`` on every access, so either would work —
+    # in-place keeps allocation off the restore path).
 
     def snapshot_state(self) -> dict:
         """Full stored state of the arrays plus the access counters (the
         counters are deterministic along the reference run, so restoring
-        them keeps a warm experiment bit-identical to a cold one). Line
-        data travels as typed ``array`` copies — buffer copies on
-        capture, ``tobytes`` feeds on digest."""
+        them keeps a warm experiment bit-identical to a cold one), as one
+        typed array per line field, lines in order — ``data`` and
+        ``data_parity`` hold ``words_per_line`` entries per line."""
+        lines = self.lines
+        data = array(WORD_TYPECODE)
+        data_parity = array("B")
+        for line in lines:
+            data += line.data
+            data_parity += line.data_parity
+        stats = self.stats
         return {
-            "lines": [
-                (
-                    line.valid,
-                    line.tag,
-                    line.tag_parity,
-                    line.data[:],
-                    line.data_parity[:],
-                )
-                for line in self.lines
-            ],
-            "stats": (
-                self.stats.hits,
-                self.stats.misses,
-                self.stats.parity_errors,
-            ),
+            "valid": array("B", [line.valid for line in lines]),
+            "tag": array("Q", [line.tag for line in lines]),
+            "tag_parity": array("B", [line.tag_parity for line in lines]),
+            "data": data,
+            "data_parity": data_parity,
+            "stats": array("q", (stats.hits, stats.misses, stats.parity_errors)),
         }
 
     def restore_state(self, state: dict) -> None:
-        for line, snap in zip(self.lines, state["lines"]):
-            valid, tag, tag_parity, data, data_parity = snap
+        words = self.words_per_line
+        data = state["data"]
+        data_parity = state["data_parity"]
+        start = 0
+        for line, valid, tag, tag_parity in zip(
+            self.lines, state["valid"], state["tag"], state["tag_parity"]
+        ):
             line.valid = bool(valid)
             line.tag = tag
             line.tag_parity = tag_parity
-            line.data[:] = _as_array(data, line.data.typecode)
-            line.data_parity[:] = _as_array(data_parity, "B")
-        hits, misses, parity_errors = state["stats"]
-        self.stats.hits = hits
-        self.stats.misses = misses
-        self.stats.parity_errors = parity_errors
+            end = start + words
+            line.data[:] = data[start:end]
+            line.data_parity[:] = data_parity[start:end]
+            start = end
+        stats = self.stats
+        stats.hits, stats.misses, stats.parity_errors = state["stats"]
 
 
 # ---------------------------------------------------------------------------

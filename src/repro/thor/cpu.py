@@ -30,6 +30,7 @@ import linecache
 import re
 import weakref
 import zlib
+from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
@@ -37,7 +38,7 @@ from repro.thor import isa
 from repro.thor.cache import Cache, CacheParityError
 from repro.thor.disasm import format_instruction
 from repro.thor.isa import Instruction, Opcode
-from repro.thor.memory import IllegalAddress, Memory, MemoryBus
+from repro.thor.memory import WORD_TYPECODE, IllegalAddress, Memory, MemoryBus
 from repro.thor.pipeline import PipelineLatches
 from repro.thor.registers import Psr, RegisterFile
 from repro.thor.traps import Trap, TrapEvent
@@ -179,37 +180,56 @@ class Cpu:
     # -- checkpoint support (golden-run warm starts) ---------------------------
 
     def snapshot(self) -> dict:
-        """Everything but main memory, as plain picklable data.
+        """Everything but main memory, as a few typed arrays: the
+        registers, one scalar array and each cache's arrays
+        (:meth:`~repro.thor.cache.Cache.snapshot_state`), so a
+        checkpoint digest hashes a handful of buffers.
 
         Captured at instruction boundaries along the trap-free reference
         run, so ``halted`` is False and no trap is latched; ``last_exec``
-        is included because fault triggers consume it."""
+        is included because fault triggers consume it. In the scalar
+        array an optional field takes two slots, a presence flag and the
+        value, and each register tuple its length and then its items."""
         last = self.last_exec
+        pipeline = self.pipeline
+        bus = self.bus
+        opcode = last.opcode
+        mem_address = last.mem_address
+        mem_value = last.mem_value
+        scalars = array(
+            "q",
+            (
+                self.pc,
+                self.cycles,
+                self.instret,
+                self.iterations,
+                self.psr.to_word(),
+                pipeline.ir,
+                pipeline.mar,
+                pipeline.mdr,
+                pipeline.ir_forced,
+                bus.force_mask,
+                bus.force_value,
+                bus.force_reads,
+                last.pc,
+                -1 if opcode is None else opcode,
+                last.branch_taken,
+                mem_address is not None,
+                mem_address or 0,
+                mem_value is not None,
+                mem_value or 0,
+                last.mem_is_write,
+                len(last.reg_reads),
+                *last.reg_reads,
+                len(last.reg_writes),
+                *last.reg_writes,
+            ),
+        )
         return {
-            "regs": self.regs.snapshot(),
-            "psr": self.psr.to_word(),
-            "pipeline": self.pipeline.snapshot(),
+            "regs": array(WORD_TYPECODE, self._regs),
+            "scalars": scalars,
             "icache": self.icache.snapshot_state(),
             "dcache": self.dcache.snapshot_state(),
-            "bus": (
-                self.bus.force_mask,
-                self.bus.force_value,
-                self.bus.force_reads,
-            ),
-            "pc": self.pc,
-            "cycles": self.cycles,
-            "instret": self.instret,
-            "iterations": self.iterations,
-            "last_exec": (
-                last.pc,
-                None if last.opcode is None else last.opcode.name,
-                last.branch_taken,
-                last.mem_address,
-                last.mem_value,
-                last.mem_is_write,
-                tuple(last.reg_reads),
-                tuple(last.reg_writes),
-            ),
         }
 
     def restore(self, state: dict) -> None:
@@ -217,39 +237,55 @@ class Cpu:
         the test card's page loads). Leaves the CPU running (not halted,
         no trap latched) exactly as it was at the capture boundary."""
         self.regs.restore(state["regs"])
-        self.psr.from_word(state["psr"])
-        self.pipeline.restore(state["pipeline"])
-        self.icache.restore_state(state["icache"])
-        self.dcache.restore_state(state["dcache"])
-        force_mask, force_value, force_reads = state["bus"]
-        self.bus.force_mask = force_mask
-        self.bus.force_value = force_value
-        self.bus.force_reads = force_reads
-        self.pc = state["pc"]
-        self.cycles = state["cycles"]
-        self.instret = state["instret"]
-        self.iterations = state["iterations"]
-        self.halted = False
-        self.trap_event = None
+        scalars = state["scalars"]
         (
+            self.pc,
+            self.cycles,
+            self.instret,
+            self.iterations,
+            psr,
+            ir,
+            mar,
+            mdr,
+            ir_forced,
+            force_mask,
+            force_value,
+            force_reads,
             pc,
-            opcode_name,
+            opcode,
             branch_taken,
+            has_address,
             mem_address,
+            has_value,
             mem_value,
             mem_is_write,
-            reg_reads,
-            reg_writes,
-        ) = state["last_exec"]
+            n_reads,
+        ) = scalars[:21]
+        reads_end = 21 + n_reads
+        n_writes = scalars[reads_end]
+        self.psr.from_word(psr)
+        pipeline = self.pipeline
+        pipeline.ir = ir
+        pipeline.mar = mar
+        pipeline.mdr = mdr
+        pipeline.ir_forced = bool(ir_forced)
+        self.icache.restore_state(state["icache"])
+        self.dcache.restore_state(state["dcache"])
+        bus = self.bus
+        bus.force_mask = force_mask
+        bus.force_value = force_value
+        bus.force_reads = force_reads
+        self.halted = False
+        self.trap_event = None
         self.last_exec = LastExec(
             pc=pc,
-            opcode=None if opcode_name is None else Opcode[opcode_name],
-            branch_taken=branch_taken,
-            mem_address=mem_address,
-            mem_value=mem_value,
-            mem_is_write=mem_is_write,
-            reg_reads=tuple(reg_reads),
-            reg_writes=tuple(reg_writes),
+            opcode=None if opcode < 0 else Opcode(opcode),
+            branch_taken=bool(branch_taken),
+            mem_address=mem_address if has_address else None,
+            mem_value=mem_value if has_value else None,
+            mem_is_write=bool(mem_is_write),
+            reg_reads=tuple(scalars[21:reads_end]),
+            reg_writes=tuple(scalars[reads_end + 1 : reads_end + 1 + n_writes]),
         )
 
     # -- trap path -------------------------------------------------------------

@@ -19,8 +19,6 @@ dominate fault-injection behaviour:
 
 from __future__ import annotations
 
-from typing import Tuple
-
 from repro.thor.isa import WORD_MASK
 
 
@@ -41,12 +39,3 @@ class PipelineLatches:
         """Scan-chain write path: the next step consumes this word."""
         self.ir = word & WORD_MASK
         self.ir_forced = True
-
-    # -- checkpoint support ------------------------------------------------
-
-    def snapshot(self) -> Tuple[int, int, int, bool]:
-        return (self.ir, self.mar, self.mdr, self.ir_forced)
-
-    def restore(self, state: Tuple[int, int, int, bool]) -> None:
-        self.ir, self.mar, self.mdr, forced = state
-        self.ir_forced = bool(forced)

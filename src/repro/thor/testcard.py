@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set, Union
 
 from repro.thor.assembler import Program
 from repro.thor.cpu import NO_BLOCK, Cpu, CpuConfig, block_table
-from repro.thor.scanchain import ScanChain, build_scan_chains
+from repro.thor.scanchain import ChainImage, ScanChain, build_scan_chains
 from repro.thor.traps import Trap, TrapEvent
 from repro.util.errors import TargetError
 
@@ -120,7 +120,9 @@ class TestCard:
             raise TargetError(f"no scan chain {name!r} on card {self.name!r}")
         return chain
 
-    def read_chain(self, name: str) -> List[int]:
+    def read_chain(self, name: str) -> ChainImage:
+        """Shift out chain ``name`` as an image that reads and assigns
+        like a bit list (:class:`~repro.thor.scanchain.ChainImage`)."""
         chain = self.chain(name)
         self.total_scan_cycles += chain.shift_cycles
         return chain.read()
@@ -132,7 +134,8 @@ class TestCard:
         self.total_scan_cycles += chain.shift_cycles
         return chain.read_values()
 
-    def write_chain(self, name: str, bits: List[int]) -> None:
+    def write_chain(self, name: str, bits: Union[ChainImage, List[int]]) -> None:
+        """Shift in an image from :meth:`read_chain` or a bit list."""
         chain = self.chain(name)
         self.total_scan_cycles += chain.shift_cycles
         chain.write(bits)

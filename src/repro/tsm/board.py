@@ -8,9 +8,9 @@ implements on top.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
-from repro.thor.scanchain import ScanCell, ScanChain
+from repro.thor.scanchain import ChainImage, ScanCell, ScanChain
 from repro.thor.testcard import DebugEvent, DebugEventKind
 from repro.tsm.assembler import TsmProgram
 from repro.tsm.machine import TsmConfig, TsmMachine
@@ -107,7 +107,9 @@ class TsmBoard:
             raise TargetError(f"no scan chain {name!r} on TSM board")
         return chain
 
-    def read_chain(self, name: str) -> List[int]:
+    def read_chain(self, name: str) -> ChainImage:
+        """Shift out chain ``name`` as an image that reads and assigns
+        like a bit list (:class:`~repro.thor.scanchain.ChainImage`)."""
         chain = self.chain(name)
         self.total_scan_cycles += chain.shift_cycles
         return chain.read()
@@ -119,7 +121,8 @@ class TsmBoard:
         self.total_scan_cycles += chain.shift_cycles
         return chain.read_values()
 
-    def write_chain(self, name: str, bits: List[int]) -> None:
+    def write_chain(self, name: str, bits: Union[ChainImage, List[int]]) -> None:
+        """Shift in an image from :meth:`read_chain` or a bit list."""
         chain = self.chain(name)
         self.total_scan_cycles += chain.shift_cycles
         chain.write(bits)

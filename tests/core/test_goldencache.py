@@ -125,6 +125,19 @@ class TestVersionedKeys:
             pickle.dump(entry, handle)
         assert cache.load(key) is None
 
+    def test_format_3_entry_is_miss(self, tmp_path):
+        """Entries from before the typed-array CPU snapshot (checkpoint
+        format 3) hold payloads this build cannot restore: they miss."""
+        cache = GoldenRunCache(tmp_path)
+        _, campaign = prepared_target(cache)
+        key = campaign_golden_key(campaign)
+        entry = cache.load(key)
+        assert entry.checkpoint_format == 4
+        entry.checkpoint_format = 3
+        with open(cache.path_for(key), "wb") as handle:
+            pickle.dump(entry, handle)
+        assert cache.load(key) is None
+
     def test_unstamped_legacy_entry_is_miss(self, tmp_path):
         """An entry pickled before the version stamps existed
         deserialises without the attributes — it must miss, exactly

@@ -154,3 +154,95 @@ class TestBoundaryChain:
         bits = chain.read()
         offset = chain.bit_offset("pins.halt", 0)
         assert bits[offset] == 1
+
+
+class TestChainImage:
+    def test_bit_list_interface(self):
+        cpu = make_cpu_with_state()
+        chain = build_scan_chains(cpu)["internal"]
+        image = chain.read()
+        bits = list(image)
+        assert len(image) == len(bits) == chain.total_bits
+        offset = chain.bit_offset("cpu.regfile.r1", 0)
+        assert image[offset : offset + 32] == int_to_bits(0x123, 32)
+        assert [image[i] for i in range(len(image))] == bits
+        assert image[-1] == bits[-1]
+        assert image == bits and image == chain.read()
+        bits[offset] ^= 1
+        assert image != bits
+        image[offset] = True
+        assert image[offset] == 1
+        with pytest.raises(IndexError):
+            image[chain.total_bits]
+
+    def test_write_lands_only_changed_cells(self):
+        cpu = make_cpu_with_state()
+        chain = build_scan_chains(cpu)["internal"]
+        image = chain.read()
+        written = []
+        for index, writer in enumerate(chain._writers):
+            if writer is not None:
+                chain._writers[index] = (
+                    lambda v, i=index, w=writer: (written.append(i), w(v))
+                )
+        image[chain.bit_offset("cpu.regfile.r2", 3)] ^= 1
+        chain.write(image)
+        assert written == [chain.index("cpu.regfile.r2")]
+
+    def test_write_puts_back_a_cell_changed_since_the_read(self):
+        cpu = make_cpu_with_state()
+        chain = build_scan_chains(cpu)["internal"]
+        image = chain.read()
+        cpu.regs[4] = 99
+        chain.write(image)
+        assert cpu.regs[4] == 0
+
+
+class TestRejectedWrite:
+    """A non-binary bit anywhere rejects the whole write before any
+    cell lands."""
+
+    def _bits(self, chain):
+        bits = list(chain.read())
+        bits[chain.bit_offset("cpu.regfile.r1", 0)] = 1
+        return bits
+
+    def test_bit_list_is_validated_whole_first(self):
+        cpu = Cpu()
+        chain = build_scan_chains(cpu)["internal"]
+        bits = self._bits(chain)
+        bits[chain.bit_offset("dcache.line0.word0", 3)] = 2
+        with pytest.raises(ValueError, match="dcache.line0.word0"):
+            chain.write(bits)
+        assert cpu.regs[1] == 0
+
+    def test_image_rejects_at_assignment(self):
+        cpu = Cpu()
+        chain = build_scan_chains(cpu)["internal"]
+        image = chain.read()
+        image[chain.bit_offset("cpu.regfile.r1", 0)] = 1
+        with pytest.raises(ValueError, match="dcache.line0.word0"):
+            image[chain.bit_offset("dcache.line0.word0", 3)] = 2
+        chain.write(image)
+        assert cpu.regs[1] == 1
+        assert cpu.dcache.lines[0].data[0] == 0
+
+    def test_non_binary_bit_in_read_only_cell_rejected(self):
+        cpu = Cpu()
+        chain = build_scan_chains(cpu)["internal"]
+        bits = self._bits(chain)
+        bits[chain.bit_offset("cpu.cycle_counter", 0)] = 2
+        with pytest.raises(ValueError, match="cpu.cycle_counter"):
+            chain.write(bits)
+        assert cpu.regs[1] == 0
+        with pytest.raises(ValueError, match="cpu.cycle_counter"):
+            chain.read()[chain.bit_offset("cpu.cycle_counter", 0)] = 2
+
+    def test_binary_bits_in_read_only_cells_still_ignored(self):
+        cpu = make_cpu_with_state()
+        chain = build_scan_chains(cpu)["internal"]
+        image = chain.read()
+        image[chain.bit_offset("cpu.instret_counter", 2)] ^= 1
+        before = cpu.instret
+        chain.write(image)
+        assert cpu.instret == before
