@@ -19,9 +19,10 @@ Shapes asserted:
   injections, outputs, observed state) — the correctness gate: early
   exits synthesize the golden outcome and memo hits replay a recorded
   one, and neither may be distinguishable from full-tail execution;
-* the accelerated leg takes a nonzero number of early exits, skips a
-  nonzero number of simulated tail cycles, and (the fault space being
-  64 bits against a larger campaign) replays outcomes from the memo;
+* the accelerated leg takes a nonzero number of early exits and skips a
+  nonzero number of simulated tail cycles (a liveness exit is a row
+  derived from the golden run at plan time; repeated live plans replay
+  from the memo, repeated dead ones are derived too);
 * at full scale, the accelerated leg delivers >= 2x wall-clock speedup
   over the plain tail (the acceptance number; reduced-scale CI runs
   report the ratio without gating it on noisy shared runners —

@@ -37,7 +37,12 @@ from repro.core.experiment import (
     StateVector,
     Termination,
 )
-from repro.core.faultmodels import FaultModel, InjectionPlan, build_fault_model
+from repro.core.faultmodels import (
+    FaultModel,
+    InjectionPlan,
+    apply_op,
+    build_fault_model,
+)
 from repro.core.locations import FaultLocation, LocationSpace
 from repro.core.preinjection import LATENT, LIVE, build_liveness_oracle
 from repro.core.trace import Trace
@@ -107,19 +112,32 @@ def _flush_sink(sink) -> None:
 
 class ExperimentSchedule:
     """Which experiments of one campaign run execute, and which row each
-    index logs: the equivalence policy (plan → partition → derive →
-    verify) that the serial loop and the parallel engine both drive.
+    index logs: the plan-time policy (plan → derive → verify) that the
+    serial loop and the parallel engine both drive.
 
-    Without equivalence collapsing every index is its own execution unit
-    and logs its own result. With it (``preinjection_mode="equivalence"``,
-    a stop-and-inject technique, summary logging) the schedule plans
-    every index, partitions the plans, and hands out one execution unit
-    per class: the representative plus the members sampled for
-    verification (``verify_equivalence``), which run with the memo
-    bypassed. Every other member's row is derived from the
-    representative's result only when :meth:`row` is asked for it, and
-    a representative's result is held only while derived members of its
-    class are pending.
+    Without a plan-time policy every index is its own execution unit and
+    logs its own result. Two policies derive rows instead of executing:
+
+    * equivalence collapsing (``preinjection_mode="equivalence"``, a
+      stop-and-inject technique, summary logging): the schedule plans
+      every index, partitions the plans, and hands out one execution
+      unit per class. A member's row is derived from its class
+      representative's result;
+    * dead faults (wherever the reference-trace oracle is built: early
+      exit on, summary logging, a golden tick strictly inside the
+      reference run): the schedule plans every index and asks the oracle
+      about every injected bit of each plan that would execute. A plan
+      whose every bit is overwritten before any read, or never touched
+      again, never executes: its row is the golden run's (DESIGN.md
+      S2f), with the ``bit_before`` of each injection read in one
+      golden pass (:meth:`FaultInjectionAlgorithms._golden_injections`).
+
+    Derived indices of either kind are sampled for verification
+    (``verify_equivalence``): a sampled index also executes, with every
+    row shortcut off, and its derived row is compared against the real
+    one. A derived row is built only when :meth:`row` is asked for it,
+    and a representative's result is held only while derived members of
+    its class are pending.
 
     A runner executes the indices of :meth:`units` (or, serially, each
     index for which :meth:`executes` holds), hands results to
@@ -135,8 +153,8 @@ class ExperimentSchedule:
         self.port = port
         #: Indices to run, in the order their rows are logged.
         self.order: List[int] = list(order)
-        #: index -> plan for every index of a collapsed campaign (empty
-        #: otherwise: each execution then plans itself).
+        #: index -> plan for every index when a plan-time policy applies
+        #: (empty otherwise: each execution then plans itself).
         self.plans: Dict[int, InjectionPlan] = {}
         self._partition: Optional["EquivalencePartition"] = None
         #: derived member -> its representative.
@@ -144,25 +162,54 @@ class ExperimentSchedule:
         #: representative -> derived members whose rows are not out yet.
         self._pending: Dict[int, int] = {}
         self._rep_results: Dict[int, ExperimentResult] = {}
-        #: members executed for real and compared against the derivation.
+        #: index -> the injections of a plan whose every bit is dead; its
+        #: row is derived from the golden run.
+        self._golden: Dict[int, List[Injection]] = {}
+        #: derived indices executed for real and compared against the
+        #: derivation.
         self._verify: Set[int] = set()
         #: executed (or failed) results not handed out as rows yet.
         self._results: Dict[int, ExperimentResult] = {}
         campaign = port._require_campaign()
-        # Detail mode is excluded: per-instruction state logs differ
-        # *inside* an unobserved def-use region, so only terminal
-        # outcomes — not detail logs — are class-invariant.
-        if (
-            port._equivalence is None
-            or campaign.technique not in STOP_AND_INJECT_TECHNIQUES
-            or campaign.logging_mode == "detail"
-        ):
+        if campaign.technique not in STOP_AND_INJECT_TECHNIQUES:
             return
-        self.plans = {
-            index: port.plan_experiment(index, reference)
-            for index in self.order
-        }
-        self._partition = partition = port._equivalence.partition(self.plans)
+        # Detail mode is excluded from collapsing: per-instruction state
+        # logs differ *inside* an unobserved def-use region, so only
+        # terminal outcomes — not detail logs — are class-invariant.
+        if port._equivalence is not None and campaign.logging_mode != "detail":
+            self._plan_all(reference)
+            self._collapse()
+        if port._trace_oracle is not None:
+            self._plan_all(reference)
+            self._golden = port._golden_injections(
+                {
+                    index: plan
+                    for index, plan in self.plans.items()
+                    if index not in self._rep_of
+                }
+            )
+        fraction = port.verify_equivalence
+        if fraction > 0.0:
+            # Index-keyed stream, disjoint from the planning substreams.
+            self._verify = {
+                index
+                for index in [*self._rep_of, *self._golden]
+                if fraction >= 1.0
+                or random.Random(f"{campaign.seed}:verify:{index}").random()
+                < fraction
+            }
+
+    def _plan_all(self, reference: ReferenceRun) -> None:
+        if not self.plans:
+            self.plans = {
+                index: self.port.plan_experiment(index, reference)
+                for index in self.order
+            }
+
+    def _collapse(self) -> None:
+        """Partition the plans into equivalence classes."""
+        assert self.port._equivalence is not None
+        self._partition = partition = self.port._equivalence.partition(self.plans)
         stats = partition.stats()
         metrics = get_observability().metrics
         if metrics.enabled:
@@ -172,37 +219,32 @@ class ExperimentSchedule:
         self._rep_of = partition.derived_map()
         for rep in self._rep_of.values():
             self._pending[rep] = self._pending.get(rep, 0) + 1
-        fraction = port.verify_equivalence
-        if fraction > 0.0:
-            # Index-keyed stream, disjoint from the planning substreams.
-            self._verify = {
-                member
-                for member in self._rep_of
-                if fraction >= 1.0
-                or random.Random(f"{campaign.seed}:verify:{member}").random()
-                < fraction
-            }
 
     def units(self) -> List[List[int]]:
         """Execution units in dispatch order: lists of indices that must
         land in the same shard — one class's representative and its
-        verify-sampled members, or a single index."""
+        verify-sampled members, or a single index. Derived indices are
+        left out unless sampled for verification."""
         if self._partition is None:
-            return [[index] for index in self.order]
-        return [
-            [cls.representative]
-            + [member for member in cls.members[1:] if member in self._verify]
-            for cls in self._partition.classes
-        ]
+            return [[index] for index in self.order if self.executes(index)]
+        units = []
+        for cls in self._partition.classes:
+            unit = [index for index in cls.members if self.executes(index)]
+            if unit:
+                units.append(unit)
+        return units
 
     def executes(self, index: int) -> bool:
         """Does ``index`` run for real (anything but a plain derived
-        member)?"""
-        return index not in self._rep_of or index in self._verify
+        row)?"""
+        if index in self._rep_of or index in self._golden:
+            return index in self._verify
+        return True
 
     def verifies(self, index: int) -> bool:
-        """Is ``index`` a verification run? It must bypass the memo: a
-        verification that replays a memo would verify nothing."""
+        """Is ``index`` a verification run? It must run with every row
+        shortcut off: a verification that replays a memo would verify
+        nothing."""
         return index in self._verify
 
     def accept(self, index: int, result: ExperimentResult) -> None:
@@ -213,11 +255,13 @@ class ExperimentSchedule:
 
     def fail(self, index: int, placeholder: ExperimentResult) -> List[int]:
         """No result can be had for ``index``: ``placeholder`` becomes
-        its row. A failed verify member is no longer compared. A failed
+        its row. A failed verification is no longer compared. A failed
         representative's members can no longer be derived, so they run
         for real: the returned members must now be executed (its verify
         members already are)."""
         self._results[index] = placeholder
+        if self._golden.pop(index, None) is not None:
+            self._verify.discard(index)
         rep = self._rep_of.pop(index, None)
         if rep is not None:
             self._verify.discard(index)
@@ -238,24 +282,42 @@ class ExperimentSchedule:
     def row(self, index: int) -> Optional[ExperimentResult]:
         """The row ``index`` logs, or None while it is not ready (its
         own result, or its representative's, has not arrived). Derived
-        rows are built here, verified members compared here; call once
-        per index, when the row is about to be logged."""
+        rows are built here, verified ones compared here; call once per
+        index, when the row is about to be logged."""
         rep = self._rep_of.get(index)
-        if rep is None:
+        if rep is None and index not in self._golden:
             return self._results.pop(index, None)
-        rep_result = self._rep_results.get(rep)
-        if rep_result is None:
+        if rep is not None and rep not in self._rep_results:
             return None
         actual = None
         if index in self._verify:
             actual = self._results.pop(index, None)
             if actual is None:
                 return None
-        derived = self._derive(index, rep_result)
+        if rep is None:
+            derived = self._golden_row(index)
+        else:
+            derived = self._derive(index, self._rep_results[rep])
         if actual is not None:
             self.check_derived_outcome(index, actual, derived)
-        self._release(rep)
+        if rep is not None:
+            self._release(rep)
         return derived
+
+    def _golden_row(self, index: int) -> ExperimentResult:
+        """The row of a plan whose every injected bit is dead: the
+        golden outcome (:meth:`FaultInjectionAlgorithms._liveness_exit`)
+        with the plan-time injections."""
+        started = _time.perf_counter()
+        port = self.port
+        result = port._new_result(index)
+        result.injections = self._golden.pop(index)
+        port._liveness_exit(result)
+        result.wall_seconds = _time.perf_counter() - started
+        get_observability().metrics.counter("experiments_total").inc()
+        if self._pending.get(index):
+            self._rep_results[index] = result
+        return result
 
     def _release(self, rep: int) -> None:
         """One derived member of ``rep``'s class is settled; drop the
@@ -304,9 +366,10 @@ class ExperimentSchedule:
         actual: ExperimentResult,
         derived: ExperimentResult,
     ) -> None:
-        """Compare a real execution against its static derivation and
-        hard-fail the campaign on any divergence (the ``--verify-
-        equivalence`` contract)."""
+        """Compare a real execution against its derivation — from a
+        class representative, or from the golden run — and hard-fail
+        the campaign on any divergence (the ``--verify-equivalence``
+        contract)."""
         mismatches = []
         if [i.to_dict() for i in actual.injections] != [
             i.to_dict() for i in derived.injections
@@ -323,15 +386,23 @@ class ExperimentSchedule:
         if actual.state_vector != derived.state_vector:
             mismatches.append("state_vector")
         if mismatches:
+            proof = (
+                "the reference trace's proof that its faults are dead"
+                if derived.derived_from is None
+                else "the static equivalence certificate of its class"
+            )
             raise CampaignError(
-                f"equivalence verification failed for experiment {index} "
-                f"(derived from {derived.derived_from}): "
-                f"{', '.join(mismatches)} diverged — the static "
-                "equivalence certificate is unsound for this class"
+                f"verification failed for experiment {index} (derived "
+                f"from {derived.derived_from or 'the golden run'}): "
+                f"{', '.join(mismatches)} diverged — {proof} is unsound"
             )
         metrics = get_observability().metrics
         if metrics.enabled:
-            metrics.counter("equivalence.verified").inc()
+            metrics.counter(
+                "divergence.liveness_verified"
+                if derived.derived_from is None
+                else "equivalence.verified"
+            ).inc()
 
 
 class FaultInjectionAlgorithms(abc.ABC):
@@ -374,8 +445,9 @@ class FaultInjectionAlgorithms(abc.ABC):
         #: it to partition the planned fault list.
         self._equivalence = None
         #: The reference-trace oracle (:class:`~repro.core.preinjection
-        #: .PreInjectionAnalysis`) the liveness exit asks; built in set-up
-        #: wherever the divergence probe can arm, else None.
+        #: .PreInjectionAnalysis`) the schedule asks which plans are dead;
+        #: built in set-up wherever the divergence probe can arm, else
+        #: None.
         self._trace_oracle = None
         #: Fraction of statically-derived experiment outcomes that are
         #: re-executed for real and compared against the derivation
@@ -388,10 +460,10 @@ class FaultInjectionAlgorithms(abc.ABC):
         #: Checkpoints captured along the reference run (warm starts);
         #: None when the campaign, technique or port rules them out.
         self._checkpoints: Optional[CheckpointStore] = None
-        #: The post-injection fast paths. The liveness exit ends an
-        #: experiment at injection when the reference trace proves every
-        #: injected bit dead; divergence-window execution probes the
-        #: faulty run's state digest against the golden checkpoints
+        #: The row shortcuts. The liveness exit derives the row of a
+        #: plan whose every injected bit the reference trace proves dead
+        #: from the golden run at plan time (:class:`ExperimentSchedule`);
+        #: divergence-window execution probes the faulty run's state digest against the golden checkpoints
         #: after injection and synthesizes the golden outcome on
         #: re-convergence instead of simulating the tail; outcome
         #: memoization replays the recorded outcome of an earlier
@@ -578,6 +650,14 @@ class FaultInjectionAlgorithms(abc.ABC):
             type(self).__name__, "capture_core_digest"
         )
 
+    def peek_bits(self, locations: Sequence[FaultLocation]) -> List[int]:
+        """The current value of each location's bit in the stopped
+        target, read without a scan shift and without perturbing it.
+        The schedule's golden pass reads the ``bit_before`` of every
+        dead plan's injections through it; a port that keeps this
+        default executes every plan."""
+        raise NotImplementedByPort(type(self).__name__, "peek_bits")
+
     def available_workloads(self):
         """Names of the workloads this target can run, or None when the
         port does not restrict them (optional override, used by the
@@ -722,7 +802,8 @@ class FaultInjectionAlgorithms(abc.ABC):
         binding: early exit on, summary logging, and a golden tick after
         cycle 0 and before the reference termination? Each experiment
         then needs such a tick after its last action
-        (:meth:`_begin_divergence`)."""
+        (:meth:`_begin_divergence`). The liveness exit applies wherever
+        this holds, with no condition on the plan."""
         campaign = self._require_campaign()
         store = self._checkpoints
         return (
@@ -896,6 +977,15 @@ class FaultInjectionAlgorithms(abc.ABC):
         the injection instant and skip that cycle's trigger/pre-injection
         evaluation, so the first-injection hop must always approach the
         injection time from earlier state."""
+        actions = plan.sorted_actions()
+        if not actions:
+            return None
+        return self._tick_before(actions[0].time)
+
+    def _tick_before(self, time: int) -> Optional[int]:
+        """Index of the latest checkpoint strictly before ``time``, or
+        None when the campaign, technique or store rules warm starts
+        out."""
         store = self._checkpoints
         campaign = self._require_campaign()
         if (
@@ -906,10 +996,7 @@ class FaultInjectionAlgorithms(abc.ABC):
             or campaign.technique not in STOP_AND_INJECT_TECHNIQUES
         ):
             return None
-        actions = plan.sorted_actions()
-        if not actions:
-            return None
-        return store.nearest_before(actions[0].time)
+        return store.nearest_before(time)
 
     def _try_restore(self, plan: InjectionPlan) -> bool:
         """Warm-start the experiment from its :meth:`_restore_index`
@@ -921,7 +1008,17 @@ class FaultInjectionAlgorithms(abc.ABC):
         target is untouched/garbage and the caller must take the cold
         path (which starts with ``init_test_card`` and is therefore
         always safe)."""
-        index = self._restore_index(plan)
+        if not self._restore(self._restore_index(plan)):
+            return False
+        metrics = get_observability().metrics
+        if metrics.enabled:
+            metrics.counter("checkpoint.hits").inc()
+        return True
+
+    def _restore(self, index: Optional[int]) -> bool:
+        """Restore checkpoint ``index``; False when there is none or it
+        failed its fingerprint check (take the cold path then). Counts
+        the prefix cycles the restore saves simulating."""
         if index is None:
             return False
         assert self._checkpoints is not None
@@ -935,7 +1032,6 @@ class FaultInjectionAlgorithms(abc.ABC):
                 obs.metrics.counter("checkpoint.cold_falls").inc()
             return False
         if obs.metrics.enabled:
-            obs.metrics.counter("checkpoint.hits").inc()
             obs.metrics.counter("checkpoint.cycles_saved").inc(image.cycle)
         return True
 
@@ -1137,7 +1233,7 @@ class FaultInjectionAlgorithms(abc.ABC):
         index: int,
         plan: Optional[InjectionPlan] = None,
         reference: Optional[ReferenceRun] = None,
-        use_memo: bool = True,
+        shortcuts: bool = True,
     ) -> ExperimentResult:
         """Plan and execute exactly one experiment of the bound campaign.
 
@@ -1152,13 +1248,29 @@ class FaultInjectionAlgorithms(abc.ABC):
         one campaign binding that would restore the same checkpoint (or
         both start cold) and inject the identical action list are the
         same computation, so the second replays the first's recorded
-        outcome instead of executing. ``use_memo=False`` forces real
-        execution (the equivalence verifier uses it — a verification that
-        replays a memo would verify nothing).
+        outcome instead of executing. ``shortcuts=False`` executes with
+        every row shortcut off, as ``goofi run --no-early-exit`` does: no
+        memo replay, no divergence probe (the verifier of derived rows
+        uses it — a verification that takes a shortcut would verify
+        nothing).
 
         ``plan`` skips sampling when the caller already holds this
         index's plan; ``reference`` defaults to the instance's retained
         reference run from :meth:`prepare_run`."""
+        if shortcuts or not self.early_exit:
+            return self._run_experiment(index, plan, reference)
+        self.early_exit = False
+        try:
+            return self._run_experiment(index, plan, reference)
+        finally:
+            self.early_exit = True
+
+    def _run_experiment(
+        self,
+        index: int,
+        plan: Optional[InjectionPlan],
+        reference: Optional[ReferenceRun],
+    ) -> ExperimentResult:
         campaign = self._require_campaign()
         if reference is None:
             reference = getattr(self, "_reference", None)
@@ -1170,7 +1282,7 @@ class FaultInjectionAlgorithms(abc.ABC):
         if plan is None:
             plan = self.plan_experiment(index, reference)
         obs = get_observability()
-        memo = self._memo_table() if use_memo else None
+        memo = self._memo_table()
         key: Optional[str] = None
         if memo is not None:
             restore = self._restore_index(plan)
@@ -1375,15 +1487,12 @@ class FaultInjectionAlgorithms(abc.ABC):
         probing: bool,
     ) -> None:
         """Complete a stop-and-inject experiment after its injection
-        loop. Where the divergence window is armed, first take the
-        liveness exit when the reference trace proves every injected bit
-        dead, then probe the window (synthesizing the golden outcome on
-        re-convergence); otherwise — or when probing stays inconclusive
-        — run the plain tail to termination."""
+        loop. Where the divergence window is armed, probe it
+        (synthesizing the golden outcome on re-convergence); otherwise —
+        or when probing stays inconclusive — run the plain tail to
+        termination."""
         campaign = self._require_campaign()
         if termination is None and probing:
-            if self._liveness_exit(result):
-                return
             window = run_window(self, plan, self._reference, self._checkpoints)
             if window.converged:
                 self._finish_golden(result)
@@ -1395,24 +1504,20 @@ class FaultInjectionAlgorithms(abc.ABC):
             )
         self._finish(result, termination)
 
-    def _liveness_exit(self, result: ExperimentResult) -> bool:
-        """End the experiment at injection when the reference trace
-        proves each injected bit dead at its injection time: overwritten
-        before any read, or never touched again (latent). The faulty run
-        then reads nothing the golden run does not, so it ends with the
-        golden termination and outputs, and its state vector is the
-        golden one with each latent bit holding the value its last
-        injection left. Returns whether it exited."""
+    def _liveness_exit(self, result: ExperimentResult) -> None:
+        """Fill the row of a plan whose every injected bit the reference
+        trace proves dead at its injection time (``result`` holds its
+        injections): overwritten before any read, or never touched again
+        (latent). The faulty run then reads nothing the golden run does
+        not, so it ends with the golden termination and outputs, and its
+        state vector is the golden one with each latent bit holding the
+        value its last injection left."""
         oracle = self._trace_oracle
-        if oracle is None or not result.injections:
-            return False
+        assert oracle is not None and result.injections
         latent: Dict[tuple, int] = {}
         for injection in result.injections:
             location = injection.location
-            fate = oracle.fate(location, injection.time)
-            if fate == LIVE:
-                return False
-            if fate == LATENT:
+            if oracle.fate(location, injection.time) == LATENT:
                 latent[location.path, location.bit] = injection.bit_after
             else:
                 latent.pop((location.path, location.bit), None)
@@ -1436,7 +1541,106 @@ class FaultInjectionAlgorithms(abc.ABC):
             obs.metrics.counter("divergence.early_exits").inc()
             obs.metrics.counter("divergence.cycles_skipped").inc(skipped)
         obs.tracer.event("liveness-exit", cycles_skipped=skipped)
-        return True
+
+    def _golden_injections(
+        self, plans: Dict[int, InjectionPlan]
+    ) -> Dict[int, List[Injection]]:
+        """The injections of each of ``plans`` whose every injected bit
+        the reference-trace oracle proves dead, keyed by index: the
+        plans whose rows :meth:`_liveness_exit` derives from the golden
+        run. A dead plan is left out when the golden run terminates
+        before one of its actions (it executes, as a faulty run would
+        end there too), and every plan is left out when the port cannot
+        :meth:`peek_bits`.
+
+        An injection's ``bit_before`` is the golden value at its time,
+        read in one golden pass (:meth:`_golden_pass`), unless the plan
+        injected the same bit earlier and the reference run does not
+        access it in between: it then still holds that injection's
+        ``bit_after``. A register reached as ``scan:internal/...`` and
+        ``swreg/...`` is one bit, keyed by its path."""
+        dead: Dict[int, List[tuple]] = {}
+        reads: Dict[int, Set[FaultLocation]] = {}
+        for index, plan in plans.items():
+            steps = self._dead_steps(plan)
+            if not steps:
+                continue
+            dead[index] = steps
+            for time, location, _, earlier in steps:
+                stop = reads.setdefault(time, set())
+                if earlier is None:
+                    stop.add(location)
+        bits = self._golden_pass(reads) if dead else None
+        if bits is None:
+            return {}
+        derived: Dict[int, List[Injection]] = {}
+        for index, steps in dead.items():
+            if steps[-1][0] not in bits:
+                continue
+            injections: List[Injection] = []
+            for time, location, op, earlier in steps:
+                before = (
+                    bits[time][location]
+                    if earlier is None
+                    else injections[earlier].bit_after
+                )
+                injections.append(
+                    Injection(
+                        time=time,
+                        location=location,
+                        op=op,
+                        bit_before=before,
+                        bit_after=apply_op(before, op),
+                    )
+                )
+            derived[index] = injections
+        return derived
+
+    def _dead_steps(self, plan: InjectionPlan) -> Optional[List[tuple]]:
+        """``plan``'s injections as (time, location, op, earlier) in
+        execution order — ``earlier`` is the position of the earlier
+        injection of the same bit whose value the bit still holds, or
+        None — or None when one of its bits is live."""
+        oracle = self._trace_oracle
+        assert oracle is not None
+        steps: List[tuple] = []
+        last: Dict[tuple, int] = {}
+        for action in plan.sorted_actions():
+            for location in action.locations:
+                if oracle.fate(location, action.time) == LIVE:
+                    return None
+                key = (location.path, location.bit)
+                earlier = last.get(key)
+                if earlier is not None and oracle.accessed_between(
+                    location, steps[earlier][0], action.time
+                ):
+                    earlier = None
+                last[key] = len(steps)
+                steps.append((action.time, location, action.op, earlier))
+        return steps
+
+    def _golden_pass(
+        self, reads: Dict[int, Set[FaultLocation]]
+    ) -> Optional[Dict[int, Dict[FaultLocation, int]]]:
+        """Run the golden workload once — from the checkpoint strictly
+        before the earliest time of ``reads``, or from reset — stopping
+        at each of its times in ascending order to peek the listed bits.
+        Returns time -> {location: bit} for every time the run reaches
+        before it terminates, or None when the port has no
+        :meth:`peek_bits` block."""
+        times = sorted(reads)
+        if not self._restore(self._tick_before(times[0])):
+            self._cold_prefix()
+        bits: Dict[int, Dict[FaultLocation, int]] = {}
+        for time in times:
+            if self.wait_for_breakpoint(time) is not None:
+                break
+            locations = list(reads[time])
+            try:
+                bits[time] = dict(zip(locations, self.peek_bits(locations)))
+            except NotImplementedByPort:
+                return None
+        return bits
 
     def _finish_golden(self, result: ExperimentResult) -> None:
         """Fill ``result`` with the golden run's outcome — the faulty
@@ -1499,7 +1703,7 @@ class FaultInjectionAlgorithms(abc.ABC):
                                 index,
                                 plan=schedule.plans.get(index),
                                 reference=reference,
-                                use_memo=not schedule.verifies(index),
+                                shortcuts=not schedule.verifies(index),
                             ),
                         )
                     result = schedule.row(index)

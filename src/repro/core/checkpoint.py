@@ -67,8 +67,10 @@ __all__ = [
 #: a different canonical encoding than the v2 int-list walk, so v2
 #: stores miss cleanly through the golden-cache key. v4: the CPU
 #: snapshot is a few typed arrays (registers, one scalar array, one
-#: array per cache field) instead of nested per-line tuples.
-CHECKPOINT_FORMAT = 4
+#: array per cache field) instead of nested per-line tuples. v5: the
+#: scalar array no longer carries the last instruction's (always empty)
+#: register-access tuples.
+CHECKPOINT_FORMAT = 5
 
 #: Words per memory page in the dirty-page delta encoding (2^8 words —
 #: small enough that a sparse workload dirties few pages, large enough

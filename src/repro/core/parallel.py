@@ -166,9 +166,9 @@ def _worker_main(
     the parent's golden run, or redoing the reference run when the port
     cannot adopt it), announces the reference run as a determinism
     fingerprint, then serves ``("run", [indices], verify)`` task
-    messages until ``("quit",)``. The indices in ``verify`` are
-    equivalence verifications and run with the memo bypassed: a
-    verification that replays a memo would verify nothing.
+    messages until ``("quit",)``. The indices in ``verify`` re-execute
+    derived rows and run with every row shortcut off: a verification
+    that replays a memo would verify nothing.
     ``early_exit`` is the port's instance knob of the same name (it
     lives on the port rather than in CampaignData).
 
@@ -197,7 +197,7 @@ def _worker_main(
                 try:
                     if index in verify:
                         result = port.run_single_experiment(
-                            index, use_memo=False
+                            index, shortcuts=False
                         )
                     else:
                         result = port.run_single_experiment(index)
@@ -733,9 +733,13 @@ class _ParallelRun:
         if final:
             # A stop may leave non-contiguous ready rows (later indices
             # finished while an earlier one was still running); log them
-            # too so a resume can skip them.
+            # too so a resume can skip them. A derived row that never ran
+            # is left to the resume, which derives it again: logging
+            # every one would carry a stopped campaign to its end.
             try:
                 for index in self.order[self.reported:]:
+                    if not self.schedule.executes(index):
+                        continue
                     result = self.schedule.row(index)
                     if result is not None:
                         self.sink.log_experiment(self.campaign, result)

@@ -27,9 +27,11 @@ fails), the analysis is conservative and reports *live*, so enabling
 pre-injection never silently prunes locations it does not understand.
 
 :meth:`PreInjectionAnalysis.fate` asks the same question for the
-liveness exit of the campaign loop (DESIGN.md S2f): a fault whose every
-bit is overwritten before any read, or never touched again, ends with
-the golden outcome.
+liveness exit of the campaign schedule (DESIGN.md S2f): a fault whose
+every bit is overwritten before any read, or never touched again, ends
+with the golden outcome, so its row is derived at plan time;
+:meth:`PreInjectionAnalysis.accessed_between` tells whether a bit
+injected twice still holds its first injected value at the second.
 
 Three pruning modes are available to campaigns
 (``CampaignData.preinjection_mode``):
@@ -52,7 +54,7 @@ from collections import defaultdict
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.locations import FaultLocation, LocationSpace
-from repro.core.trace import Trace
+from repro.core.trace import Trace, TraceStep
 from repro.util.sampling import iter_pairs, pair_count
 
 _REG_RE = re.compile(r"cpu\.regfile\.r(\d+)$")
@@ -117,6 +119,9 @@ class PreInjectionAnalysis:
         #: Cache name -> its replay (None: the replay failed), built on
         #: the first question about one of its cells.
         self._caches: Dict[str, Any] = {}
+        #: Each step's start cycle, built on the first question
+        #: :meth:`accessed_between` cannot answer from the access runs.
+        self._step_cycles: Optional[List[int]] = None
 
     @staticmethod
     def from_trace(trace: Trace, space: LocationSpace) -> "PreInjectionAnalysis":
@@ -170,18 +175,64 @@ class PreInjectionAnalysis:
             accesses = self._memory.get(int(mem_match.group(1), 16))
         return None if accesses is None else accesses.next_access(time)
 
-    def _cache_access(self, path: str, time: int) -> Optional[str]:
-        name, _, cell = path.partition(".")
+    def _replay(self, name: str):
         if name not in self._caches:
             record = self._trace.caches.get(name)
             self._caches[name] = (
                 None if record is None else record.replay(self._trace)
             )
-        replay = self._caches[name]
+        return self._caches[name]
+
+    def _cache_access(self, path: str, time: int) -> Optional[str]:
+        name, _, cell = path.partition(".")
+        replay = self._replay(name)
         if replay is None:
             return _UNKNOWN
         reads = replay.next_access(cell, time)
         return None if reads is None else READ if reads else WRITE
+
+    def accessed_between(
+        self, location: FaultLocation, start: int, stop: int
+    ) -> bool:
+        """Does the reference run access ``location`` at an instant in
+        ``[start, stop)``? Asked about a bit whose :meth:`fate` at
+        ``start`` is dead, so any such access is a write: a bit injected
+        at ``start`` still holds its injected value at ``stop`` exactly
+        when this is False. Exact for every cell whose fate can be dead
+        (registers, PSR bits, cells of a replayed cache)."""
+        path = location.path
+        reg_match = _REG_RE.search(path)
+        if reg_match is not None:
+            index = int(reg_match.group(1))
+            accesses = self._registers.get(index)
+
+            def touches(step: TraceStep) -> bool:
+                return index in step.reg_reads or index in step.reg_writes
+
+        elif path.endswith("cpu.psr"):
+            mask = 1 << location.bit
+            accesses = self._flags.get(location.bit)
+
+            def touches(step: TraceStep) -> bool:
+                return bool((step.reads_flags | step.writes_flags) & mask)
+
+        else:
+            name, _, cell = path.partition(".")
+            replay = self._replay(name)
+            when = None if replay is None else replay.next_access_time(cell, start)
+            return when is not None and when < stop
+        times = [] if accesses is None else accesses.times
+        pos = bisect.bisect_left(times, start)
+        if pos == len(times) or times[pos] < stop:
+            return pos < len(times)
+        # The run holding the next access ends past ``stop``, and its
+        # last time cannot tell whether one of its accesses falls inside
+        # the interval: walk the interval's trace steps.
+        if self._step_cycles is None:
+            self._step_cycles = [step.cycle_before for step in self._trace]
+        first = bisect.bisect_left(self._step_cycles, start)
+        last = bisect.bisect_left(self._step_cycles, stop)
+        return any(map(touches, self._trace.steps[first:last]))
 
     def is_live(self, location: FaultLocation, time: int) -> bool:
         path = location.path

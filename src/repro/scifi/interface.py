@@ -99,7 +99,6 @@ class ThorRDInterface(Framework):
         # Golden-run checkpoint capture state (reference run only).
         self._checkpointing = False
         self._checkpoint_pages: Set[int] = set()
-        self.card.trap_hook = self._dispatch_trap
 
     # ------------------------------------------------------------------
     # Campaign binding
@@ -405,6 +404,29 @@ class ThorRDInterface(Framework):
             )
         return injections
 
+    def peek_bits(self, locations: Sequence[FaultLocation]) -> List[int]:
+        """Each location's bit in the stopped card, read through the
+        compiled cell readers, memory and the register file: no scan
+        shift, no scan-cost accounting, nothing written."""
+        card = self.card
+        bits = []
+        for location in locations:
+            space = location.space
+            if space.startswith("scan:"):
+                chain = card.chain(space.split(":", 1)[1])
+                word = chain.cell(location.path).reader()
+            elif space.startswith("memory:"):
+                word = card.read_memory(self._memory_location_address(location))
+            elif space == "swreg":
+                match = SWREG_PATH_RE.match(location.path)
+                if not match:
+                    raise CampaignError(f"bad swreg location {location.key()}")
+                word = card.cpu.regs.read(int(match.group(1)))
+            else:
+                raise CampaignError(f"unknown location space {space!r}")
+            bits.append(bit_get(word, location.bit))
+        return bits
+
     # ------------------------------------------------------------------
     # Observation / tracing / detail mode
     # ------------------------------------------------------------------
@@ -524,11 +546,20 @@ class ThorRDInterface(Framework):
     def _sync_step_hook(self) -> None:
         """Install the step hook only while something observes steps
         (tracing, detail logging, a runtime-SWIFI instrumenter): with no
-        hook the card's run loop pays no per-instruction call."""
+        hook the card's run loop pays no per-instruction call. The trap
+        hook is installed only while an instrumenter is active. Either
+        hook is a bound method of this target held by the card, so
+        clearing them when idle also leaves no target-card reference
+        cycle: a discarded target is freed at once, not by the cyclic
+        collector."""
+        card = self.card
         if self._tracing or self._detail or self._instrumenter is not None:
-            self.card.on_step = self._dispatch_step
+            card.on_step = self._dispatch_step
         else:
-            self.card.on_step = None
+            card.on_step = None
+        card.trap_hook = (
+            None if self._instrumenter is None else self._dispatch_trap
+        )
 
     def _dispatch_step(self, card: TestCard) -> None:
         if self._instrumenter is not None:

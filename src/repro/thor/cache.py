@@ -354,28 +354,42 @@ class CacheReplay:
         match = _CELL_RE.match(cell)
         if match is None:
             return True
+        found = self._next(match, time)
+        return None if found is None else found[0]
+
+    def next_access_time(self, cell: str, time: int) -> Optional[int]:
+        """When the access :meth:`next_access` describes happens: the
+        time of the first access at or after ``time`` that reads or
+        overwrites ``cell`` (None: none does, or the cell is unknown)."""
+        match = _CELL_RE.match(cell)
+        found = None if match is None else self._next(match, time)
+        return None if found is None else found[1]
+
+    def _next(self, match: "re.Match", time: int) -> Optional[Tuple[bool, int]]:
+        """(reads, time) of the first access at or after ``time`` that
+        touches the cell ``match`` names."""
         line, name, word = match.groups()
         times = self._times[int(line)]
         codes = self._codes[int(line)]
         start = bisect.bisect_left(times, time)
         if name == "valid":
-            return True if start < len(codes) else None
+            return (True, times[start]) if start < len(codes) else None
         if name in ("tag", "tag_parity"):
             for position in range(start, len(codes)):
                 code = codes[position]
                 if code & _VALID:
-                    return True
+                    return True, times[position]
                 if not code & _STORE:
-                    return False
+                    return False, times[position]
             return None
         offset = int(word)
         for position in range(start, len(codes)):
             code = codes[position]
             if not code & _HIT:
                 if not code & _STORE:
-                    return False
+                    return False, times[position]
             elif code & _OFFSET == offset:
-                return not code & _STORE
+                return not code & _STORE, times[position]
         return None
 
 

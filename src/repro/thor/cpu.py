@@ -85,8 +85,6 @@ class LastExec:
     mem_address: Optional[int] = None
     mem_value: Optional[int] = None
     mem_is_write: bool = False
-    reg_reads: Tuple[int, ...] = ()
-    reg_writes: Tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -189,7 +187,7 @@ class Cpu:
         run, so ``halted`` is False and no trap is latched; ``last_exec``
         is included because fault triggers consume it. In the scalar
         array an optional field takes two slots, a presence flag and the
-        value, and each register tuple its length and then its items."""
+        value."""
         last = self.last_exec
         pipeline = self.pipeline
         bus = self.bus
@@ -219,10 +217,6 @@ class Cpu:
                 mem_value is not None,
                 mem_value or 0,
                 last.mem_is_write,
-                len(last.reg_reads),
-                *last.reg_reads,
-                len(last.reg_writes),
-                *last.reg_writes,
             ),
         )
         return {
@@ -259,10 +253,7 @@ class Cpu:
             has_value,
             mem_value,
             mem_is_write,
-            n_reads,
-        ) = scalars[:21]
-        reads_end = 21 + n_reads
-        n_writes = scalars[reads_end]
+        ) = scalars
         self.psr.from_word(psr)
         pipeline = self.pipeline
         pipeline.ir = ir
@@ -284,8 +275,6 @@ class Cpu:
             mem_address=mem_address if has_address else None,
             mem_value=mem_value if has_value else None,
             mem_is_write=bool(mem_is_write),
-            reg_reads=tuple(scalars[21:reads_end]),
-            reg_writes=tuple(scalars[reads_end + 1 : reads_end + 1 + n_writes]),
         )
 
     # -- trap path -------------------------------------------------------------
@@ -353,8 +342,6 @@ class Cpu:
         last.mem_address = None
         last.mem_value = None
         last.mem_is_write = False
-        last.reg_reads = ()
-        last.reg_writes = ()
         try:
             event, next_pc, taken = execute(self, instr)
         except CacheParityError as exc:
@@ -661,8 +648,6 @@ def _block_trap(cpu: Cpu, leader: int, index: int, words: Tuple[int, ...],
     last.mem_address = None
     last.mem_value = None
     last.mem_is_write = False
-    last.reg_reads = ()
-    last.reg_writes = ()
     return cpu._raise_trap(trap, detail=detail)
 
 
@@ -930,8 +915,6 @@ def _block_source(leader: int, instrs: List[Tuple[int, int, Instruction]],
                 "last.mem_address = None",
                 "last.mem_value = None",
                 "last.mem_is_write = False",
-                "last.reg_reads = ()",
-                "last.reg_writes = ()",
             ]
         else:
             # last_exec records the final instruction only.

@@ -154,13 +154,15 @@ def _build_parser() -> argparse.ArgumentParser:
                         "(GOOFI_GOLDEN_CACHE)")
     p.add_argument("--verify-equivalence", type=float, metavar="P",
                    default=0.0,
-                   help="equivalence mode: re-execute fraction P of "
-                        "statically-derived experiments for real and "
-                        "hard-fail the campaign if any outcome diverges "
-                        "from its derivation")
+                   help="re-execute fraction P of derived experiments "
+                        "(equivalence members, and dead faults derived "
+                        "from the golden run) for real and hard-fail the "
+                        "campaign if any outcome diverges from its "
+                        "derivation")
     p.add_argument("--no-early-exit", action="store_true",
-                   help="disable liveness exits (faults the reference "
-                        "trace proves dead), divergence-window digest "
+                   help="disable liveness exits (plan-time golden rows "
+                        "for faults the reference trace proves dead), "
+                        "divergence-window digest "
                         "exits and outcome memoization: simulate every "
                         "faulty run to workload end (the escape hatch "
                         "for debugging or timing studies)")

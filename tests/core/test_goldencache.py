@@ -132,8 +132,22 @@ class TestVersionedKeys:
         _, campaign = prepared_target(cache)
         key = campaign_golden_key(campaign)
         entry = cache.load(key)
-        assert entry.checkpoint_format == 4
+        assert entry.checkpoint_format == 5
         entry.checkpoint_format = 3
+        with open(cache.path_for(key), "wb") as handle:
+            pickle.dump(entry, handle)
+        assert cache.load(key) is None
+
+    def test_format_4_entry_is_miss(self, tmp_path):
+        """Entries from before the last-instruction record lost its
+        register-access tuples (checkpoint format 4) carry a longer
+        scalar array than this build restores: they miss."""
+        cache = GoldenRunCache(tmp_path)
+        _, campaign = prepared_target(cache)
+        key = campaign_golden_key(campaign)
+        entry = cache.load(key)
+        assert entry.checkpoint_format == 5
+        entry.checkpoint_format = 4
         with open(cache.path_for(key), "wb") as handle:
             pickle.dump(entry, handle)
         assert cache.load(key) is None

@@ -98,19 +98,21 @@ def _row(result):
 
 
 def _experiment(campaign, actions, early_exit):
-    """One experiment of ``campaign`` with the plan ``actions`` (a list
-    of ``(time, locations, op)``); returns its row, the divergence
-    counters and the target."""
+    """The one experiment of ``campaign`` with the plan ``actions`` (a
+    list of ``(time, locations, op)``), run by the campaign loop, whose
+    schedule derives the row of a dead plan; returns its row, the
+    divergence counters and the target."""
+    assert campaign.n_experiments == 1
     target = create_target("thor-rd")
     target.early_exit = early_exit
-    target.prepare_run(campaign)
     plan = InjectionPlan([
         InjectionAction(time=time, locations=tuple(locations), op=op)
         for time, locations, op in actions
     ])
+    target.plan_experiment = lambda index, reference: plan
     configure(metrics=True)
     try:
-        result = target.run_single_experiment(0, plan=plan)
+        (result,) = target.run_campaign(campaign).results
         counters = get_observability().metrics.snapshot()["counters"]
     finally:
         disable()
@@ -263,6 +265,142 @@ class TestPlanRules:
         }
 
 
+    def test_a_write_between_injections_restores_the_golden_bit(
+        self, psr_probe
+    ):
+        """The MOV and the ADD write Z between the two flips, so the
+        second flip's ``bit_before`` is the golden Z, read in the golden
+        pass, not the first flip's ``bit_after``."""
+        campaign = _campaign(psr_probe)
+        target = create_target("thor-rd")
+        reference = target.prepare_run(campaign)
+        t_mov = _time_at(target, reference, "at_mov")
+        t_st = _time_at(target, reference, "at_st")
+        z = _psr(Psr.BIT_Z)
+        assert target._trace_oracle.accessed_between(z, t_mov, t_st)
+        row, exits = _both(campaign, [(t_mov, [z], "flip"), (t_st, [z], "flip")])
+        assert exits == 1
+        first, second = row["injections"]
+        assert second["bit_before"] != first["bit_after"]
+        key = "scan:internal/cpu.psr"
+        assert row["state_vector"][key] == (
+            reference.state_vector[key] ^ 1 << Psr.BIT_Z
+        )
+
+    def test_an_action_past_the_golden_termination_executes(self, psr_probe):
+        """The golden pass never reaches an action after the reference
+        run's end, so the plan executes (a faulty run ends there too)."""
+        campaign = _campaign(psr_probe)
+        target = create_target("thor-rd")
+        reference = target.prepare_run(campaign)
+        t_st = _time_at(target, reference, "at_st")
+        late = reference.duration_cycles + 10
+        row, exits = _both(campaign, [
+            (t_st, [_psr(Psr.BIT_C)], "flip"),
+            (late, [_psr(Psr.BIT_C)], "flip"),
+        ])
+        assert exits == 0
+        assert len(row["injections"]) == 1
+
+
+class TestPlanTimeDerivation:
+    """Dead plans never execute: the schedule derives their rows from
+    the golden run at plan time, and the verify sample re-executes
+    them."""
+
+    @staticmethod
+    def _campaign(**fields):
+        defaults = dict(
+            campaign_name="liveness-plan-time",
+            workload_name="bubblesort",
+            workload_params={"n": 8, "seed": 7},
+            location_patterns=[
+                "scan:internal/cpu.regfile.*",
+                "scan:internal/cpu.psr",
+                "scan:internal/dcache.*",
+            ],
+            n_experiments=24,
+            seed=21,
+            checkpoint_interval=64,
+        )
+        defaults.update(fields)
+        return make_campaign(**defaults)
+
+    @staticmethod
+    def _run(campaign, **attributes):
+        target = create_target("thor-rd")
+        for name, value in attributes.items():
+            setattr(target, name, value)
+        executed = []
+        run_single_experiment = target.run_single_experiment
+
+        def counted(index, *args, **kwargs):
+            executed.append(index)
+            return run_single_experiment(index, *args, **kwargs)
+
+        target.run_single_experiment = counted
+        configure(metrics=True)
+        try:
+            sink = target.run_campaign(campaign)
+            counters = get_observability().metrics.snapshot()["counters"]
+        finally:
+            disable()
+        return [_row(r) for r in sink.results], counters, executed
+
+    def test_derived_rows_never_execute(self):
+        campaign = self._campaign()
+        rows, counters, executed = self._run(campaign)
+        plain, _, _ = self._run(campaign, early_exit=False)
+        assert rows == plain
+        exits = counters.get("divergence.liveness_exits", 0)
+        assert exits >= 1
+        assert len(executed) == campaign.n_experiments - exits
+        assert counters.get("experiments_total") == campaign.n_experiments
+        # Every executed experiment restored a checkpoint or replayed
+        # the memo; the golden pass's own restore is not a hit.
+        assert counters.get("checkpoint.hits", 0) + counters.get(
+            "divergence.memo_hits", 0
+        ) == len(executed)
+
+    def test_verify_reexecutes_every_derived_row(self):
+        campaign = self._campaign()
+        rows, counters, executed = self._run(campaign, verify_equivalence=1.0)
+        plain, _, _ = self._run(campaign, early_exit=False)
+        assert rows == plain
+        exits = counters.get("divergence.liveness_exits", 0)
+        assert exits >= 1
+        assert counters.get("divergence.liveness_verified") == exits
+        assert len(executed) == campaign.n_experiments
+
+    def test_verify_fails_the_campaign_on_a_wrong_derivation(self):
+        from repro.util.errors import CampaignError
+
+        target = create_target("thor-rd")
+        target.verify_equivalence = 1.0
+        liveness_exit = target._liveness_exit
+
+        def corrupted(result):
+            liveness_exit(result)
+            result.outputs = {key: 0 for key in result.outputs}
+
+        target._liveness_exit = corrupted
+        with pytest.raises(CampaignError, match="derived from the golden run"):
+            target.run_campaign(self._campaign())
+
+    def test_a_port_without_peek_bits_executes_every_plan(self):
+        from repro.util.errors import NotImplementedByPort
+
+        def no_peek(locations):
+            raise NotImplementedByPort("thor-rd", "peek_bits")
+
+        campaign = self._campaign()
+        rows, counters, executed = self._run(campaign, peek_bits=no_peek)
+        plain, _, _ = self._run(campaign, early_exit=False)
+        assert rows == plain
+        assert counters.get("divergence.liveness_exits", 0) == 0
+        assert len(executed) == campaign.n_experiments
+
+
 class TestCacheRules:
     def test_a_replay_short_of_the_counts_answers_live(self):
         """quicksort's PUSH and POP reach the dcache without a
@@ -369,18 +507,20 @@ def test_exit_counters_on_a_dcache_campaign():
     assert [_row(r) for r in sink.results] == [
         _row(r) for r in plain.run_campaign(campaign).results
     ]
-    # Every experiment injected before the last golden tick exits: its
-    # dcache bit is overwritten by a fill or a store hit, or never
-    # touched again. The other two have no tick left to probe at.
+    # Every experiment exits: its dcache bit is overwritten by a fill or
+    # a store hit, or never touched again. The exit needs no golden tick
+    # after the injection, so the two experiments injected after the
+    # last tick (which the runtime exit left to the plain tail) exit too.
     duration = target._reference.duration_cycles
     last_tick = target._checkpoints.cycles[-1]
     times = [r.injections[-1].time for r in sink.results]
-    armed = [t for t in times if t < last_tick]
-    assert (len(armed), sum(duration - t for t in armed)) == (22, 6613)
-    assert counters.get("divergence.liveness_exits") == 22
-    assert counters.get("divergence.early_exits") == 22
-    assert counters.get("divergence.cycles_skipped") == 6613
+    assert sum(t >= last_tick for t in times) == 2
+    assert sum(duration - t for t in times) == 6734
+    assert counters.get("divergence.liveness_exits") == 24
+    assert counters.get("divergence.early_exits") == 24
+    assert counters.get("divergence.cycles_skipped") == 6734
     assert counters.get("divergence.probes", 0) == 0
+    assert counters.get("experiments_total") == 24
 
 
 class TestWhereTheOracleIsBuilt:

@@ -148,6 +148,42 @@ class TestParallelController:
         assert 3 <= len(sink.results) < 40
         assert all(r.termination is not None for r in sink.results)
 
+    def test_stop_leaves_derived_rows_to_the_resume(self, db):
+        """Rows derived from the golden run are ready from the start; a
+        stop must not log every one of them, and a resume derives the
+        rest to the serial rows."""
+        campaign = make_campaign(
+            workload_name="bubblesort",
+            workload_params={"n": 8, "seed": 7},
+            location_patterns=[
+                "scan:internal/cpu.regfile.*",
+                "scan:internal/cpu.psr",
+                "scan:internal/dcache.*",
+            ],
+            checkpoint_interval=64,
+            n_experiments=40,
+            seed=3,
+        )
+        first = ParallelCampaignController(
+            worker_factory("thor-rd"), sink=db, config=fast_config()
+        )
+        first.add_listener(lambda p: first.stop() if p.n_done >= 3 else None)
+        first.run(campaign)
+        assert first.progress.state == "stopped"
+        # 35 of the 40 rows are derived; the ready prefix at the stop
+        # holds at most a few executed rows and the derived runs between.
+        assert 3 <= db.count_experiments(campaign.campaign_name) <= 25
+        second = ParallelCampaignController(
+            worker_factory("thor-rd"), sink=db, config=fast_config()
+        )
+        second.run(campaign, resume=True)
+        serial_db = GoofiDatabase(":memory:")
+        create_target("thor-rd").run_campaign(campaign, sink=serial_db)
+        assert canonical_experiment_rows(
+            db, campaign.campaign_name
+        ) == canonical_experiment_rows(serial_db, campaign.campaign_name)
+        serial_db.close()
+
     def test_pause_resume(self):
         controller = ParallelCampaignController(
             worker_factory("thor-rd"), config=fast_config()

@@ -157,6 +157,64 @@ class TestPsrBits:
         )
 
 
+class TestAccessedBetween:
+    """Whether a bit injected at ``start`` still holds its injected value
+    at ``stop``: the reference run accesses it nowhere in between."""
+
+    @staticmethod
+    def analysis():
+        """r4 is written at 0, 10, 20 and 30 and read at 40; the C flag
+        (bit 2) is written at 0, 20 and 40 and never read."""
+        trace = Trace([
+            step(0, reg_writes=(4,), writes_flags=0b00100),
+            step(1, reg_writes=(4,)),
+            step(2, reg_writes=(4,), writes_flags=0b00100),
+            step(3, reg_writes=(4,)),
+            step(4, reg_reads=(4,), writes_flags=0b00100),
+        ])
+        space = LocationSpace([LocationCell("scan:internal", "cpu.psr", 5)])
+        return PreInjectionAnalysis.from_trace(trace, space)
+
+    def test_register_runs(self):
+        analysis = self.analysis()
+        r4 = reg_loc(4)
+        # The run of writes keeps only its last time (30), so for an
+        # interval it does not end inside, the trace steps answer.
+        assert analysis.accessed_between(r4, 0, 1)
+        assert not analysis.accessed_between(r4, 0, 0)
+        assert analysis.accessed_between(r4, 5, 15)
+        assert not analysis.accessed_between(r4, 11, 19)
+        assert not analysis.accessed_between(r4, 31, 40)
+        assert analysis.accessed_between(r4, 31, 41)
+        # After the last access and on a register never accessed.
+        assert not analysis.accessed_between(r4, 41, 99)
+        assert not analysis.accessed_between(reg_loc(9), 0, 99)
+
+    def test_psr_bits(self):
+        analysis = self.analysis()
+        carry = FaultLocation("scan:internal", "cpu.psr", 2)
+        assert analysis.accessed_between(carry, 1, 21)
+        assert not analysis.accessed_between(carry, 1, 20)
+        assert not analysis.accessed_between(carry, 21, 40)
+        assert analysis.accessed_between(carry, 21, 41)
+        zero = FaultLocation("scan:internal", "cpu.psr", 0)
+        assert not analysis.accessed_between(zero, 0, 99)
+
+    def test_cache_cells(self):
+        """The store to 0x300 misses an empty line and changes nothing
+        in it; the load at 40 fills line 0."""
+        from repro.thor.cache import CacheRecord
+
+        trace = make_trace()
+        trace.caches = {"dcache": CacheRecord(16, 4, hits=0, misses=2)}
+        analysis = PreInjectionAnalysis.from_trace(trace, LocationSpace([]))
+        word = FaultLocation("scan:internal", "dcache.line0.word1", 0)
+        assert not analysis.accessed_between(word, 0, 40)
+        assert analysis.accessed_between(word, 0, 41)
+        valid = FaultLocation("scan:internal", "dcache.line0.valid", 0)
+        assert analysis.accessed_between(valid, 0, 31)
+
+
 class TestExitVerdicts:
     def test_untraced_cells_answer_live(self):
         """PC, IR, MAR/MDR, pins and memory words are never dead for the

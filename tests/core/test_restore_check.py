@@ -57,8 +57,6 @@ LAST_EXEC = {
     "mem_address": lambda last: _toggle(last, "mem_address", 7),
     "mem_value": lambda last: _toggle(last, "mem_value", 7),
     "mem_is_write": lambda last: setattr(last, "mem_is_write", not last.mem_is_write),
-    "reg_reads": lambda last: setattr(last, "reg_reads", last.reg_reads + (3,)),
-    "reg_writes": lambda last: setattr(last, "reg_writes", last.reg_writes + (3,)),
 }
 
 

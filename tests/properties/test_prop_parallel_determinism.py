@@ -91,3 +91,85 @@ def test_parallel_rows_byte_identical_to_serial(shape, pool, flush_rows):
     assert serial_rows == parallel_rows
     serial_db.close()
     parallel_db.close()
+
+
+#: bubblesort checkpoints inside its reference run, so the parent's
+#: schedule derives the rows of dead plans from the golden run; workers
+#: execute only the rest (and the derived rows sampled for verification).
+derived_shapes = st.fixed_dictionaries(
+    {
+        "seed": st.integers(min_value=0, max_value=2**16),
+        "n_experiments": st.integers(min_value=4, max_value=10),
+        "verify_equivalence": st.sampled_from([0.0, 0.5]),
+    }
+)
+
+
+def _derived_campaign(seed, n_experiments):
+    return make_campaign(
+        campaign_name=f"prop-derived-{seed}",
+        workload_name="bubblesort",
+        workload_params={"n": 8, "seed": 7},
+        location_patterns=[
+            "scan:internal/cpu.regfile.*",
+            "scan:internal/cpu.psr",
+            "scan:internal/dcache.*",
+        ],
+        checkpoint_interval=64,
+        seed=seed,
+        n_experiments=n_experiments,
+    )
+
+
+@settings(
+    max_examples=5,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(shape=derived_shapes, pool=pool_shapes)
+def test_parallel_rows_with_derived_rows_identical_to_serial(shape, pool):
+    campaign = _derived_campaign(shape["seed"], shape["n_experiments"])
+    serial_db = GoofiDatabase(":memory:")
+    create_target("thor-rd").run_campaign(campaign, sink=serial_db)
+    parallel_db = GoofiDatabase(":memory:")
+    run_parallel_campaign(
+        campaign,
+        worker_factory("thor-rd"),
+        sink=parallel_db,
+        config=ParallelConfig(
+            start_method="fork",
+            verify_equivalence=shape["verify_equivalence"],
+            **pool,
+        ),
+    )
+    serial_rows = canonical_experiment_rows(serial_db, campaign.campaign_name)
+    assert len(serial_rows) == shape["n_experiments"]
+    assert serial_rows == canonical_experiment_rows(
+        parallel_db, campaign.campaign_name
+    )
+    serial_db.close()
+    parallel_db.close()
+
+
+def test_workers_never_see_derived_rows():
+    from repro.observability import configure, disable, get_observability
+
+    campaign = _derived_campaign(seed=3, n_experiments=12)
+    configure(metrics=True)
+    try:
+        run_parallel_campaign(
+            campaign,
+            worker_factory("thor-rd"),
+            config=ParallelConfig(start_method="fork", n_workers=2),
+        )
+        counters = get_observability().metrics.snapshot()["counters"]
+    finally:
+        disable()
+    derived = counters.get("divergence.liveness_exits", 0)
+    executed = sum(
+        value
+        for name, value in counters.items()
+        if name.startswith("worker") and name.endswith(".experiments_total")
+    )
+    assert derived >= 1
+    assert executed == campaign.n_experiments - derived

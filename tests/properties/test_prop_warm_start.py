@@ -22,6 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import create_target
+from repro.core.campaign import FaultModelSpec
 from tests.conftest import make_campaign
 
 #: Warm-eligible techniques plus swifi-runtime (always cold by design —
@@ -62,6 +63,17 @@ campaign_shapes = st.fixed_dictionaries(
     }
 )
 
+#: The fault models a plan-time derivation must follow: one or two bits
+#: at one instant, a burst re-injecting one bit (each burst bit takes
+#: the value the previous flip left, unless the run wrote it in
+#: between) and a stuck-at fault re-asserted over the whole run.
+_FAULT_MODELS = [
+    FaultModelSpec(kind="transient"),
+    FaultModelSpec(kind="transient", multiplicity=2),
+    FaultModelSpec(kind="intermittent", burst_length=3, burst_spacing=40),
+    FaultModelSpec(kind="permanent", stuck_value=1, reassert_interval=300),
+]
+
 #: quicksort's PUSH and POP reach the dcache outside the trace.
 exit_shapes = st.fixed_dictionaries(
     {
@@ -70,6 +82,7 @@ exit_shapes = st.fixed_dictionaries(
         "n_experiments": st.integers(min_value=1, max_value=6),
         "workload_name": st.sampled_from(["vecsum", "bubblesort", "quicksort"]),
         "checkpoint_interval": st.sampled_from([None, 64, 1000]),
+        "fault_model": st.sampled_from(_FAULT_MODELS),
     }
 ).flatmap(
     lambda shape: st.sampled_from(_EXIT_PATTERNS[shape["technique"]]).map(
@@ -99,6 +112,7 @@ def _run(shape, warm, plain=False):
         workload_name=shape["workload_name"],
         checkpoint_interval=shape["checkpoint_interval"],
         warm_start=warm,
+        fault_model=shape.get("fault_model", FaultModelSpec()),
     )
     target = create_target("thor-rd")
     if plain:
@@ -137,8 +151,8 @@ class TestWarmColdEquivalence:
         """Liveness exits, digest early exits and memo replays must be
         invisible in the logged rows: the default accelerated path is
         byte-identical to the plain run-to-termination tail for every
-        technique, location set, seed, workload and checkpoint
-        cadence."""
+        technique, location set, seed, workload, checkpoint cadence and
+        fault model."""
         accelerated, _ = _run(shape, warm=True)
         plain, _ = _run(shape, warm=True, plain=True)
         assert accelerated == plain

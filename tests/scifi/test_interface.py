@@ -127,6 +127,82 @@ class TestDirectInjection:
         assert value == bound_target.card.read_memory(address)
 
 
+class TestPeekBits:
+    def test_peek_equals_the_injectors_reads_and_shifts_nothing(self):
+        """Every scan, memory and register bit peeked mid-run equals the
+        bit a scan read or a direct read returns; peeking shifts no
+        chain and changes nothing."""
+        target = ThorRDInterface()
+        campaign = make_campaign(workload_name="bubblesort")
+        target.prepare_run(campaign)
+        target._cold_prefix()
+        target.wait_for_breakpoint(target._reference.duration_cycles // 2)
+        space = target.location_space()
+        locations = space.expand(
+            ["scan:internal/*", "scan:boundary/*", "memory:data/*", "swreg"]
+        )
+        card = target.card
+        images = {name: card.read_chain(name) for name in card.chains}
+        scan_cycles = card.total_scan_cycles
+        snapshot = card.cpu.snapshot()
+        bits = target.peek_bits(locations)
+        assert card.total_scan_cycles == scan_cycles
+        assert card.cpu.snapshot() == snapshot
+        for location, bit in zip(locations, bits):
+            if location.space.startswith("scan:"):
+                chain_name = location.space.split(":", 1)[1]
+                offset = card.chain(chain_name).bit_offset(
+                    location.path, location.bit
+                )
+                assert images[chain_name][offset] == bit, location.key()
+            else:
+                [expected] = [
+                    injection.bit_before
+                    for injection in target.inject_fault_direct(
+                        InjectionAction(time=0, locations=(location,), op="stuck0")
+                    )
+                ]
+                assert expected == bit, location.key()
+
+
+class TestTargetLifetime:
+    def test_discarded_target_is_freed_without_the_cyclic_collector(self):
+        """The card holds no hook bound to its target while no
+        runtime-SWIFI instrumenter is active, so a prepared target is
+        freed as soon as it goes out of scope."""
+        import gc
+        import weakref
+
+        def prepared():
+            target = ThorRDInterface()
+            target.prepare_run(make_campaign(workload_name="bubblesort"))
+            assert target.card.trap_hook is None
+            return weakref.ref(target), weakref.ref(target.card)
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            target, card = prepared()
+            assert target() is None and card() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_trap_hook_follows_the_instrumenter(self):
+        target = ThorRDInterface()
+        campaign = make_campaign(
+            technique="swifi-runtime", location_patterns=["memory:data/*"]
+        )
+        target.prepare_run(campaign)
+        plan = target.plan_experiment(0, target._reference)
+        target.init_test_card()
+        target.load_workload()
+        target.instrument_workload(plan)
+        assert target.card.trap_hook == target._dispatch_trap
+        target.init_test_card()
+        assert target.card.trap_hook is None
+
+
 class TestObservation:
     def test_capture_state_vector_keys_match_observe_patterns(
         self, bound_target
