@@ -8,10 +8,9 @@ executed twice on fresh targets: once with ``warm_start=False`` (the
 paper's cold start-from-reset path of Figure 2, with early exit off)
 and once with ``warm_start=True`` and the ``goofi run`` defaults
 (restore the last reference-run checkpoint strictly before the
-injection time and run forward; the liveness exit, the outcome memo and
-divergence probes stay on, and an experiment whose faults the
-reference trace proves dead is derived from the golden run without
-executing). Results are compared
+injection time and run forward; the liveness exit stays on, so an
+experiment whose faults the reference trace proves dead is derived
+from the golden run without executing). Results are compared
 field-for-field (modulo wall clock) and the warm leg's
 ``checkpoint.cycles_saved`` counter is captured from the observability
 layer.
@@ -20,9 +19,9 @@ Shapes asserted:
 
 * warm and cold campaigns classify every experiment identically
   (termination kind, outputs, observed state) — the correctness gate;
-* every warm-leg experiment is restored from a checkpoint, replayed
-  from the outcome memo or derived from the golden run (liveness exit),
-  and the restores skip a nonzero number of simulated prefix cycles;
+* every warm-leg experiment is restored from a checkpoint or derived
+  from the golden run (liveness exit), and the restores skip a nonzero
+  number of simulated prefix cycles;
 * at full scale, warm start delivers >= 2x wall-clock speedup (the
   acceptance number; reduced-scale CI runs report the ratio without
   gating it on noisy shared runners — check_regression gates the
@@ -99,7 +98,7 @@ def _run_leg(name, warm, trigger_time):
     target = create_target("thor-rd")
     if not warm:
         # The cold leg is the paper's plain Figure-2 baseline: no warm
-        # starts, no divergence-window early exits, no outcome memo.
+        # starts, no liveness exits.
         target.early_exit = False
     t0 = time.perf_counter()
     sink = target.run_campaign(campaign)
@@ -131,7 +130,6 @@ def test_bench_e13_checkpoint(benchmark):
     )
 
     hits = counters.get("checkpoint.hits", 0)
-    memo_hits = counters.get("divergence.memo_hits", 0)
     liveness_exits = counters.get("divergence.liveness_exits", 0)
     cycles_saved = counters.get("checkpoint.cycles_saved", 0)
     speedup = cold_seconds / max(warm_seconds, 1e-9)
@@ -145,8 +143,8 @@ def test_bench_e13_checkpoint(benchmark):
     print(f"  cold: {cold_seconds:8.3f} s")
     print(f"  warm: {warm_seconds:8.3f} s   speedup {speedup:.2f}x")
     print(
-        f"  checkpoint hits {hits}, memo hits {memo_hits}, "
-        f"liveness exits {liveness_exits}, cycles saved {cycles_saved}"
+        f"  checkpoint hits {hits}, liveness exits {liveness_exits}, "
+        f"cycles saved {cycles_saved}"
     )
 
     write_bench_json(
@@ -167,14 +165,12 @@ def test_bench_e13_checkpoint(benchmark):
     )
 
     # Correctness gate: classifications must be identical, every
-    # experiment either restored from a checkpoint, replayed from the
-    # outcome memo (a memo hit skips execution — and the restore —
-    # entirely) or derived from the golden run at plan time (a liveness
-    # exit: its faults are dead, so it never executes), real cycles
-    # skipped.
+    # experiment either restored from a checkpoint or derived from the
+    # golden run at plan time (a liveness exit: its faults are dead, so
+    # it never executes), real cycles skipped.
     assert len(cold_rows) == N_EXPERIMENTS
     assert cold_rows == warm_rows
-    assert hits + memo_hits + liveness_exits == N_EXPERIMENTS
+    assert hits + liveness_exits == N_EXPERIMENTS
     assert cycles_saved > 0
 
     # Wall-clock acceptance number — only meaningful at paper scale,

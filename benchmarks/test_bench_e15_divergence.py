@@ -1,28 +1,26 @@
-"""E15 — divergence-window early exit + outcome memoization wall time.
+"""E15 — liveness exit: plan-time golden rows, wall time.
 
-Regenerates: the acceleration study for the divergence-window subsystem
-(``repro.core.divergence``). One SCIFI campaign in the regime the
-window targets — an *early* fixed-time trigger into frequently
-overwritten scratch registers, so the fault's architectural effect is
-usually erased within a checkpoint interval and the run re-converges
-with the golden execution for the long remaining tail — is executed
-twice on fresh targets, both with ``warm_start=True``: once with the
-divergence window and the outcome memo enabled (the default) and once
-with both disabled (``goofi run --no-early-exit``; the plain warm-start
-tail of E13). Results are compared field-for-field (modulo wall clock)
-and the ``divergence.*`` counter family is captured from the
-observability layer.
+Regenerates: the acceleration study for the liveness exit
+(``ExperimentSchedule`` with the reference-trace oracle, DESIGN.md
+S2f). One SCIFI campaign in the regime the exit targets — an *early*
+fixed-time trigger into frequently overwritten scratch registers, so
+the reference trace proves most flips dead at their injection time and
+their rows are derived from the golden run at plan time instead of
+simulating the long remaining tail — is executed twice on fresh
+targets, both with ``warm_start=True``: once with the liveness exit on
+(the default) and once with it off (``goofi run --no-early-exit``; the
+plain warm-start tail of E13). Results are compared field-for-field
+(modulo wall clock) and the ``divergence.*`` counter family is captured
+from the observability layer.
 
 Shapes asserted:
 
 * both legs classify every experiment identically (termination kind,
-  injections, outputs, observed state) — the correctness gate: early
-  exits synthesize the golden outcome and memo hits replay a recorded
-  one, and neither may be distinguishable from full-tail execution;
-* the accelerated leg takes a nonzero number of early exits and skips a
-  nonzero number of simulated tail cycles (a liveness exit is a row
-  derived from the golden run at plan time; repeated live plans replay
-  from the memo, repeated dead ones are derived too);
+  injections, outputs, observed state) — the correctness gate: a row
+  derived from the golden run may not be distinguishable from
+  full-tail execution;
+* the accelerated leg takes a nonzero number of liveness exits and
+  skips a nonzero number of simulated tail cycles;
 * at full scale, the accelerated leg delivers >= 2x wall-clock speedup
   over the plain tail (the acceptance number; reduced-scale CI runs
   report the ratio without gating it on noisy shared runners —
@@ -53,10 +51,10 @@ TRIGGER_FRAC = float(os.environ.get("E15_TRIGGER_FRAC", "0.25"))
 WORKLOAD = "bubblesort"
 WORKLOAD_PARAMS = {"n": 32}
 
-#: Hot scratch registers of the bubblesort inner loop: every flip is
-#: overwritten within about one checkpoint interval, which is exactly
-#: the fault population the divergence window accelerates (flips into
-#: rarely written registers never re-converge and keep the plain tail).
+#: Hot scratch registers of the bubblesort inner loop: a flip is
+#: overwritten before it is read, which is exactly the fault population
+#: the liveness exit derives from the golden run (flips into registers
+#: that are read first stay live and keep the plain tail).
 LOCATION_PATTERNS = [
     "scan:internal/cpu.regfile.r5",
     "scan:internal/cpu.regfile.r7",
@@ -106,7 +104,7 @@ def _run_leg(name, accelerated, trigger_time):
     target = create_target("thor-rd")
     if not accelerated:
         # The plain warm-start tail (goofi run --no-early-exit): every
-        # experiment simulates to termination, nothing is memoized.
+        # experiment simulates to termination.
         target.early_exit = False
     t0 = time.perf_counter()
     sink = target.run_campaign(campaign)
@@ -137,23 +135,20 @@ def test_bench_e15_divergence(benchmark):
         benchmark.pedantic(body, rounds=1, iterations=1)
     )
 
-    exits = counters.get("divergence.early_exits", 0)
-    memo_hits = counters.get("divergence.memo_hits", 0)
-    probes = counters.get("divergence.probes", 0)
+    exits = counters.get("divergence.liveness_exits", 0)
     skipped = counters.get("divergence.cycles_skipped", 0)
     speedup = plain_seconds / max(fast_seconds, 1e-9)
 
     print()
     print(
-        f"E15: divergence window on vs off ({N_EXPERIMENTS} experiments, "
+        f"E15: liveness exit on vs off ({N_EXPERIMENTS} experiments, "
         f"{WORKLOAD} n={WORKLOAD_PARAMS['n']}, trigger at cycle "
         f"{trigger_time}/{duration})"
     )
     print(f"  plain: {plain_seconds:8.3f} s")
     print(f"  fast:  {fast_seconds:8.3f} s   speedup {speedup:.2f}x")
     print(
-        f"  early exits {exits}, memo hits {memo_hits}, probes {probes}, "
-        f"cycles skipped {skipped}"
+        f"  liveness exits {exits}, cycles skipped {skipped}"
     )
 
     write_bench_json(
@@ -167,26 +162,25 @@ def test_bench_e15_divergence(benchmark):
             "fast_seconds": fast_seconds,
             "early_exit_speedup": speedup,
             "early_exits": exits,
-            "memo_hits": memo_hits,
             "cycles_skipped_total": skipped,
             "outcomes_identical": plain_rows == fast_rows,
         },
     )
 
-    # Correctness gate: early exits and memo replays must be invisible
-    # in the logged rows, and the accelerated leg must really have
-    # exited early on this fault population.
+    # Correctness gate: liveness exits must be invisible in the logged
+    # rows, and the accelerated leg must really have exited early on
+    # this fault population.
     assert len(plain_rows) == N_EXPERIMENTS
     assert plain_rows == fast_rows
     assert exits > 0
     assert skipped > 0
-    assert exits + memo_hits <= N_EXPERIMENTS
+    assert exits <= N_EXPERIMENTS
 
     # Wall-clock acceptance number — only meaningful at paper scale,
     # where the reference run and per-experiment fixed costs amortise.
     if FULL_SCALE:
         assert speedup >= 2.0, (
-            f"divergence window delivered only {speedup:.2f}x over the "
+            f"liveness exit delivered only {speedup:.2f}x over the "
             f"plain tail (expected >= 2x with the trigger at "
             f"{TRIGGER_FRAC:.0%} of the reference run)"
         )

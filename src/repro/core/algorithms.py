@@ -29,7 +29,6 @@ from repro.core.checkpoint import (
     CheckpointTick,
     RestoreImage,
 )
-from repro.core.divergence import MemoEntry, memo_key, run_window
 from repro.core.experiment import (
     ExperimentResult,
     Injection,
@@ -133,9 +132,9 @@ class ExperimentSchedule:
       golden pass (:meth:`FaultInjectionAlgorithms._golden_injections`).
 
     Derived indices of either kind are sampled for verification
-    (``verify_equivalence``): a sampled index also executes, with every
-    row shortcut off, and its derived row is compared against the real
-    one. A derived row is built only when :meth:`row` is asked for it,
+    (``verify_equivalence``): a sampled index also executes, like any
+    other run, and its derived row is compared against the real one. A
+    derived row is built only when :meth:`row` is asked for it,
     and a representative's result is held only while derived members of
     its class are pending.
 
@@ -240,12 +239,6 @@ class ExperimentSchedule:
         if index in self._rep_of or index in self._golden:
             return index in self._verify
         return True
-
-    def verifies(self, index: int) -> bool:
-        """Is ``index`` a verification run? It must run with every row
-        shortcut off: a verification that replays a memo would verify
-        nothing."""
-        return index in self._verify
 
     def accept(self, index: int, result: ExperimentResult) -> None:
         """Record the executed result of ``index``."""
@@ -446,7 +439,7 @@ class FaultInjectionAlgorithms(abc.ABC):
         self._equivalence = None
         #: The reference-trace oracle (:class:`~repro.core.preinjection
         #: .PreInjectionAnalysis`) the schedule asks which plans are dead;
-        #: built in set-up wherever the divergence probe can arm, else
+        #: built in set-up wherever :meth:`_liveness_exit_applies`, else
         #: None.
         self._trace_oracle = None
         #: Fraction of statically-derived experiment outcomes that are
@@ -460,23 +453,16 @@ class FaultInjectionAlgorithms(abc.ABC):
         #: Checkpoints captured along the reference run (warm starts);
         #: None when the campaign, technique or port rules them out.
         self._checkpoints: Optional[CheckpointStore] = None
-        #: The row shortcuts. The liveness exit derives the row of a
-        #: plan whose every injected bit the reference trace proves dead
-        #: from the golden run at plan time (:class:`ExperimentSchedule`);
-        #: divergence-window execution probes the faulty run's state digest against the golden checkpoints
-        #: after injection and synthesizes the golden outcome on
-        #: re-convergence instead of simulating the tail; outcome
-        #: memoization replays the recorded outcome of an earlier
-        #: experiment with the same (restore checkpoint digest, canonical
-        #: injection delta) key instead of executing. Not part of
-        #: CampaignData for the same reason as :attr:`verify_equivalence`:
-        #: it changes how much is simulated, never what the campaign
-        #: computes (byte-identity is property-tested), so it must not
-        #: perturb config hashes. Disabled by ``goofi run --no-early-exit``.
+        #: The liveness exit: derive the row of a plan whose every
+        #: injected bit the reference trace proves dead from the golden
+        #: run at plan time (:class:`ExperimentSchedule`) instead of
+        #: executing it. Read once, when set-up decides whether to build
+        #: the trace oracle. Not part of CampaignData for the same reason
+        #: as :attr:`verify_equivalence`: it changes how much is
+        #: simulated, never what the campaign computes (byte-identity is
+        #: property-tested), so it must not perturb config hashes.
+        #: Disabled by ``goofi run --no-early-exit``.
         self.early_exit: bool = True
-        #: Per-campaign-binding memo table (reset on rebind: a "cold"
-        #: key from another workload must never shortcut this one).
-        self._memo: Optional[Dict[str, MemoEntry]] = None
         #: Optional :class:`repro.core.goldencache.GoldenRunCache` —
         #: when set, :meth:`prepare_run` reuses a cached golden run
         #: (trace + fingerprint + checkpoint store) keyed by the
@@ -620,35 +606,12 @@ class FaultInjectionAlgorithms(abc.ABC):
         restored state's fingerprint disagrees with the image's."""
         raise NotImplementedByPort(type(self).__name__, "restore_checkpoint")
 
-    def start_divergence_tracking(self) -> None:
-        """Arm the faulty run for divergence probing: begin tracking the
-        state (dirty memory pages) that ``capture_state_digest`` must
-        fold in. Called once per experiment, after the restore/cold
-        prefix and before the injection loop."""
-        raise NotImplementedByPort(
-            type(self).__name__, "start_divergence_tracking"
-        )
-
+    # Never called: goofibench's span wrapper still looks these up by name.
     def capture_state_digest(self) -> str:
-        """Canonical :func:`repro.core.checkpoint.state_digest` of the
-        stopped faulty target, computed exactly the way
-        ``capture_checkpoint`` fingerprints the golden run — equality
-        with a golden tick's fingerprint proves re-convergence. Unlike
-        ``capture_checkpoint`` this must not perturb the target (no
-        payload assembly, no dirty-tracking reset beyond draining)."""
-        raise NotImplementedByPort(
-            type(self).__name__, "capture_state_digest"
-        )
+        raise NotImplementedByPort(type(self).__name__, "capture_state_digest")
 
     def capture_core_digest(self) -> str:
-        """Optional cheap pre-filter for divergence probing: a digest
-        over a strict *subset* of ``capture_state_digest``'s coverage
-        (so a mismatch here proves a full mismatch). Ports that cannot
-        split their state cheaply just leave this unimplemented — the
-        window runner then compares full digests directly."""
-        raise NotImplementedByPort(
-            type(self).__name__, "capture_core_digest"
-        )
+        raise NotImplementedByPort(type(self).__name__, "capture_core_digest")
 
     def peek_bits(self, locations: Sequence[FaultLocation]) -> List[int]:
         """The current value of each location's bit in the stopped
@@ -692,14 +655,11 @@ class FaultInjectionAlgorithms(abc.ABC):
         self._liveness = None
         self._equivalence = None
         self._trace_oracle = None
-        # A stale reference/checkpoint store/memo table from a
-        # previously bound campaign must never leak into this one (the
-        # reference-run budget and the warm-start eligibility depend on
-        # the former; a cold-keyed memo entry of a different workload
-        # would silently corrupt outcomes through the latter).
+        # A stale reference/checkpoint store from a previously bound
+        # campaign must never leak into this one (the reference-run
+        # budget and the warm-start eligibility depend on them).
         self._reference = None
         self._checkpoints = None
-        self._memo = None
 
     def _check_technique_spaces(self, campaign: CampaignData) -> None:
         allowed = self.TECHNIQUE_SPACES[campaign.technique]
@@ -771,14 +731,14 @@ class FaultInjectionAlgorithms(abc.ABC):
 
     def _install_oracles(self, reference: ReferenceRun) -> None:
         """Build the oracles from a reference run: the reference-trace
-        oracle of the liveness exit wherever the divergence probe can
-        arm, and the pre-injection/equivalence oracles the campaign
-        selects (``preinjection_mode="equivalence"`` activates the
-        partitioner even when liveness pruning itself is off). Dynamic
-        pruning reuses the liveness exit's oracle."""
+        oracle of the liveness exit wherever it applies, and the
+        pre-injection/equivalence oracles the campaign selects
+        (``preinjection_mode="equivalence"`` activates the partitioner
+        even when liveness pruning itself is off). Dynamic pruning
+        reuses the liveness exit's oracle."""
         campaign = self._require_campaign()
         trace = reference.trace
-        if trace is not None and self._probe_can_arm(reference):
+        if trace is not None and self._liveness_exit_applies(reference):
             self._trace_oracle = self.build_preinjection_analysis(
                 trace, mode="dynamic"
             )
@@ -797,13 +757,11 @@ class FaultInjectionAlgorithms(abc.ABC):
         if equivalence:
             self._equivalence = oracle
 
-    def _probe_can_arm(self, reference: ReferenceRun) -> bool:
-        """Can the divergence probe arm for any experiment of this
-        binding: early exit on, summary logging, and a golden tick after
-        cycle 0 and before the reference termination? Each experiment
-        then needs such a tick after its last action
-        (:meth:`_begin_divergence`). The liveness exit applies wherever
-        this holds, with no condition on the plan."""
+    def _liveness_exit_applies(self, reference: ReferenceRun) -> bool:
+        """Does this binding build the trace oracle and derive dead
+        plans at plan time: early exit on, summary logging, and a golden
+        tick after cycle 0 and before the reference termination? There
+        is no condition on the plan."""
         campaign = self._require_campaign()
         store = self._checkpoints
         return (
@@ -965,23 +923,6 @@ class FaultInjectionAlgorithms(abc.ABC):
         self._apply_detail_mode()
         self.run_workload()
 
-    def _restore_index(self, plan: InjectionPlan) -> Optional[int]:
-        """Index of the reference-run checkpoint this plan's experiment
-        warm-starts from, or None when it starts cold from reset. Both
-        the restore itself and the memo key (which must name the true
-        starting state) ask this one question.
-
-        The checkpoint is the latest one *strictly before* the plan's
-        first injection time, not at-or-before: a checkpoint captured
-        exactly at the injection cycle would land the restored target on
-        the injection instant and skip that cycle's trigger/pre-injection
-        evaluation, so the first-injection hop must always approach the
-        injection time from earlier state."""
-        actions = plan.sorted_actions()
-        if not actions:
-            return None
-        return self._tick_before(actions[0].time)
-
     def _tick_before(self, time: int) -> Optional[int]:
         """Index of the latest checkpoint strictly before ``time``, or
         None when the campaign, technique or store rules warm starts
@@ -999,8 +940,13 @@ class FaultInjectionAlgorithms(abc.ABC):
         return store.nearest_before(time)
 
     def _try_restore(self, plan: InjectionPlan) -> bool:
-        """Warm-start the experiment from its :meth:`_restore_index`
-        checkpoint.
+        """Warm-start the experiment from the latest reference-run
+        checkpoint *strictly before* the plan's first injection time,
+        not at-or-before: a checkpoint captured exactly at the injection
+        cycle would land the restored target on the injection instant
+        and skip that cycle's trigger/pre-injection evaluation, so the
+        first-injection hop must always approach the injection time from
+        earlier state.
 
         Returns True when the target is now in the restored state (the
         caller skips the cold prefix); False when no checkpoint applies
@@ -1008,7 +954,8 @@ class FaultInjectionAlgorithms(abc.ABC):
         target is untouched/garbage and the caller must take the cold
         path (which starts with ``init_test_card`` and is therefore
         always safe)."""
-        if not self._restore(self._restore_index(plan)):
+        actions = plan.sorted_actions()
+        if not actions or not self._restore(self._tick_before(actions[0].time)):
             return False
         metrics = get_observability().metrics
         if metrics.enabled:
@@ -1053,20 +1000,23 @@ class FaultInjectionAlgorithms(abc.ABC):
         """One stop-and-inject experiment — the inner procedure of
         Figure 2: warm-restore or cold-start, stop at each injection
         instant and run the technique's inject step (:attr:`INJECT_STEPS`),
-        then probe or run the tail."""
+        then run to termination."""
         campaign = self._require_campaign()
         inject = getattr(self, self.INJECT_STEPS[campaign.technique])
         result = self._new_result(index)
         if not self._try_restore(plan):
             self._cold_prefix()
-        probing = self._begin_divergence(plan)
         termination: Optional[Termination] = None
         for action in plan.sorted_actions():
             termination = self.wait_for_breakpoint(action.time)
             if termination is not None:
                 break
             result.injections.extend(inject(action))
-        self._finish_tail(result, plan, termination, probing)
+        if termination is None:
+            termination = self.wait_for_termination(
+                self._experiment_budget(), campaign.max_iterations
+            )
+        self._finish(result, termination)
         return result
 
     def _inject_scan(self, action) -> List[Injection]:
@@ -1233,7 +1183,6 @@ class FaultInjectionAlgorithms(abc.ABC):
         index: int,
         plan: Optional[InjectionPlan] = None,
         reference: Optional[ReferenceRun] = None,
-        shortcuts: bool = True,
     ) -> ExperimentResult:
         """Plan and execute exactly one experiment of the bound campaign.
 
@@ -1243,34 +1192,13 @@ class FaultInjectionAlgorithms(abc.ABC):
         result no matter which process runs it or in which order, because
         the injection plan is drawn from the index-keyed RNG substream and
         the target is reinitialised by the experiment procedure itself.
-
-        That same determinism powers the outcome memo: two experiments of
-        one campaign binding that would restore the same checkpoint (or
-        both start cold) and inject the identical action list are the
-        same computation, so the second replays the first's recorded
-        outcome instead of executing. ``shortcuts=False`` executes with
-        every row shortcut off, as ``goofi run --no-early-exit`` does: no
-        memo replay, no divergence probe (the verifier of derived rows
-        uses it — a verification that takes a shortcut would verify
-        nothing).
+        It always executes: rows derived without executing come from
+        :class:`ExperimentSchedule`, and a verification of a derived row
+        is just this call.
 
         ``plan`` skips sampling when the caller already holds this
         index's plan; ``reference`` defaults to the instance's retained
         reference run from :meth:`prepare_run`."""
-        if shortcuts or not self.early_exit:
-            return self._run_experiment(index, plan, reference)
-        self.early_exit = False
-        try:
-            return self._run_experiment(index, plan, reference)
-        finally:
-            self.early_exit = True
-
-    def _run_experiment(
-        self,
-        index: int,
-        plan: Optional[InjectionPlan],
-        reference: Optional[ReferenceRun],
-    ) -> ExperimentResult:
         campaign = self._require_campaign()
         if reference is None:
             reference = getattr(self, "_reference", None)
@@ -1282,26 +1210,6 @@ class FaultInjectionAlgorithms(abc.ABC):
         if plan is None:
             plan = self.plan_experiment(index, reference)
         obs = get_observability()
-        memo = self._memo_table()
-        key: Optional[str] = None
-        if memo is not None:
-            restore = self._restore_index(plan)
-            key = memo_key(
-                None
-                if restore is None or self._checkpoints is None
-                else self._checkpoints.tick(restore).fingerprint,
-                plan,
-            )
-            entry = memo.get(key)
-            if entry is not None:
-                started = _time.perf_counter()
-                result = self._new_result(index)
-                entry.apply(result)
-                result.wall_seconds = _time.perf_counter() - started
-                if obs.metrics.enabled:
-                    obs.metrics.counter("divergence.memo_hits").inc()
-                obs.metrics.counter("experiments_total").inc()
-                return result
         procedure = getattr(self, self.TECHNIQUE_EXPERIMENTS[campaign.technique])
         started = _time.perf_counter()
         with obs.profile(
@@ -1313,10 +1221,6 @@ class FaultInjectionAlgorithms(abc.ABC):
             result = procedure(index, plan)
         result.wall_seconds = _time.perf_counter() - started
         obs.metrics.counter("experiments_total").inc()
-        if memo is not None and key is not None and result.termination is not None:
-            memo[key] = MemoEntry.from_result(result)
-            if obs.metrics.enabled:
-                obs.metrics.counter("divergence.memo_inserts").inc()
         return result
 
     def run_campaign(self, campaign, sink=None, control=None,
@@ -1449,60 +1353,8 @@ class FaultInjectionAlgorithms(abc.ABC):
             self.set_detail_logging(False)
 
     # ------------------------------------------------------------------
-    # Divergence-window execution + outcome memoization
+    # Liveness exit: rows of dead plans, derived from the golden run
     # ------------------------------------------------------------------
-
-    def _begin_divergence(self, plan: InjectionPlan) -> bool:
-        """Arm divergence probing for one experiment, if it can pay off.
-
-        Probing needs early-exit enabled, summary logging (detail mode
-        must observe every instruction of the real tail), a checkpointed
-        reference run with at least one golden tick strictly after the
-        last injection action and strictly before the reference
-        termination (otherwise there is no tail to skip), and a port that
-        implements the tracking block. Returns whether probing is armed;
-        False always means "run the plain tail", never an error."""
-        reference = self._reference
-        if reference is None or not self._probe_can_arm(reference):
-            return False
-        store = self._checkpoints
-        assert store is not None
-        actions = plan.sorted_actions()
-        if not actions:
-            return False
-        start = store.first_after(actions[-1].time)
-        if start is None or store.tick(start).cycle >= reference.duration_cycles:
-            return False
-        try:
-            self.start_divergence_tracking()
-        except NotImplementedByPort:
-            return False
-        return True
-
-    def _finish_tail(
-        self,
-        result: ExperimentResult,
-        plan: InjectionPlan,
-        termination: Optional[Termination],
-        probing: bool,
-    ) -> None:
-        """Complete a stop-and-inject experiment after its injection
-        loop. Where the divergence window is armed, probe it
-        (synthesizing the golden outcome on re-convergence); otherwise —
-        or when probing stays inconclusive — run the plain tail to
-        termination."""
-        campaign = self._require_campaign()
-        if termination is None and probing:
-            window = run_window(self, plan, self._reference, self._checkpoints)
-            if window.converged:
-                self._finish_golden(result)
-                return
-            termination = window.termination
-        if termination is None:
-            termination = self.wait_for_termination(
-                self._experiment_budget(), campaign.max_iterations
-            )
-        self._finish(result, termination)
 
     def _liveness_exit(self, result: ExperimentResult) -> None:
         """Fill the row of a plan whose every injected bit the reference
@@ -1511,9 +1363,11 @@ class FaultInjectionAlgorithms(abc.ABC):
         (latent). The faulty run then reads nothing the golden run does
         not, so it ends with the golden termination and outputs, and its
         state vector is the golden one with each latent bit holding the
-        value its last injection left."""
+        value its last injection left. Fresh copies, never aliases:
+        results outlive the experiment and are mutated downstream."""
         oracle = self._trace_oracle
-        assert oracle is not None and result.injections
+        reference = self._reference
+        assert oracle is not None and reference is not None and result.injections
         latent: Dict[tuple, int] = {}
         for injection in result.injections:
             location = injection.location
@@ -1521,7 +1375,11 @@ class FaultInjectionAlgorithms(abc.ABC):
                 latent[location.path, location.bit] = injection.bit_after
             else:
                 latent.pop((location.path, location.bit), None)
-        self._finish_golden(result)
+        result.termination = Termination.from_dict(
+            reference.termination.to_dict()
+        )
+        result.outputs = dict(reference.outputs)
+        result.state_vector = dict(reference.state_vector)
         if latent:
             # A register is observed as scan:internal/... and swreg/...
             # alike: a key names the latent cell by its path.
@@ -1532,13 +1390,10 @@ class FaultInjectionAlgorithms(abc.ABC):
                     if path == latent_path:
                         value = bit_set(value, bit, bit_after)
                 vector[key] = value
-        reference = self._reference
-        assert reference is not None
         skipped = reference.duration_cycles - result.injections[-1].time
         obs = get_observability()
         if obs.metrics.enabled:
             obs.metrics.counter("divergence.liveness_exits").inc()
-            obs.metrics.counter("divergence.early_exits").inc()
             obs.metrics.counter("divergence.cycles_skipped").inc(skipped)
         obs.tracer.event("liveness-exit", cycles_skipped=skipped)
 
@@ -1642,35 +1497,6 @@ class FaultInjectionAlgorithms(abc.ABC):
                 return None
         return bits
 
-    def _finish_golden(self, result: ExperimentResult) -> None:
-        """Fill ``result`` with the golden run's outcome — the faulty
-        run's state digest matched a golden tick, or the reference trace
-        proved its injected bits dead, so its future is the golden future
-        and its final termination/outputs/state vector are the reference
-        run's, byte for byte (but for latent bits, which
-        :meth:`_liveness_exit` sets afterwards). Fresh copies, never aliases:
-        results outlive the experiment and are mutated downstream."""
-        reference = self._reference
-        assert reference is not None
-        result.termination = Termination.from_dict(
-            reference.termination.to_dict()
-        )
-        result.outputs = dict(reference.outputs)
-        result.state_vector = dict(reference.state_vector)
-
-    def _memo_table(self) -> Optional[Dict[str, MemoEntry]]:
-        """The campaign-scoped outcome memo, or None when memoization
-        does not apply (disabled, or detail mode — a replayed outcome
-        has no per-instruction states to drain)."""
-        if not self.early_exit:
-            return None
-        campaign = self._require_campaign()
-        if campaign.logging_mode == "detail":
-            return None
-        if self._memo is None:
-            self._memo = {}
-        return self._memo
-
     def _campaign_loop(self, campaign, sink, control, skip_indices=None):
         sink = sink if sink is not None else _ListSink()
         control = control if control is not None else _NullControl()
@@ -1703,7 +1529,6 @@ class FaultInjectionAlgorithms(abc.ABC):
                                 index,
                                 plan=schedule.plans.get(index),
                                 reference=reference,
-                                shortcuts=not schedule.verifies(index),
                             ),
                         )
                     result = schedule.row(index)

@@ -60,17 +60,16 @@ __all__ = [
 #: persisted golden runs from an older layout miss cleanly instead of
 #: tripping restore-time mismatches. v2: fingerprints cover the full CPU
 #: snapshot (pipeline force flags, last-executed-instruction record) in
-#: addition to the scan-visible cells, making digest equality total with
-#: respect to future execution — the divergence-window soundness
-#: requirement. v3: bulk payloads (memory pages, cache arrays, scan-chain
-#: captures) travel as typed ``array`` buffers hashed via ``tobytes`` —
-#: a different canonical encoding than the v2 int-list walk, so v2
-#: stores miss cleanly through the golden-cache key. v4: the CPU
-#: snapshot is a few typed arrays (registers, one scalar array, one
-#: array per cache field) instead of nested per-line tuples. v5: the
-#: scalar array no longer carries the last instruction's (always empty)
-#: register-access tuples.
-CHECKPOINT_FORMAT = 5
+#: addition to the scan-visible cells. v3: bulk payloads (memory pages,
+#: cache arrays, scan-chain captures) travel as typed ``array`` buffers
+#: hashed via ``tobytes`` — a different canonical encoding than the v2
+#: int-list walk, so v2 stores miss cleanly through the golden-cache
+#: key. v4: the CPU snapshot is a few typed arrays (registers, one
+#: scalar array, one array per cache field) instead of nested per-line
+#: tuples. v5: the scalar array no longer carries the last instruction's
+#: (always empty) register-access tuples. v6: ticks no longer carry a
+#: second, CPU-core-only fingerprint.
+CHECKPOINT_FORMAT = 6
 
 #: Words per memory page in the dirty-page delta encoding (2^8 words —
 #: small enough that a sparse workload dirties few pages, large enough
@@ -182,19 +181,13 @@ class CheckpointTick:
     previous tick** (for the first tick: every page that is non-zero or
     was written since reset). ``fingerprint`` is the
     :func:`state_digest` the port computed over the live state at
-    capture time; restores verify against it. ``core_fingerprint`` is an
-    optional cheap digest over a strict *subset* of the fingerprinted
-    state (for Thor: the CPU core without memory pages or scan chains) —
-    the divergence-window runner compares it first and only pays the
-    full-state digest once the cores already agree, since a subset
-    mismatch proves a full mismatch (checkpoint format v2).
+    capture time; restores verify against it.
     """
 
     cycle: int
     payload: Dict[str, Any]
     dirty_pages: Dict[int, Sequence[int]] = field(default_factory=dict)
     fingerprint: str = ""
-    core_fingerprint: str = ""
 
 
 @dataclass
@@ -271,14 +264,6 @@ class CheckpointStore:
         earlier state."""
         position = bisect_left(self._cycles, cycle) - 1
         return position if position >= 0 else None
-
-    def first_after(self, cycle: int) -> Optional[int]:
-        """Index of the earliest checkpoint with ``tick.cycle > cycle``
-        (strictly after), or None when every tick is at or before. The
-        divergence-window runner uses this to find the first golden tick
-        worth probing once injection is done."""
-        position = bisect_right(self._cycles, cycle)
-        return position if position < len(self._cycles) else None
 
     def restore_image(self, index: int) -> RestoreImage:
         """Reconstruct the cumulative restore image for checkpoint

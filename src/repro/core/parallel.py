@@ -110,9 +110,9 @@ class ParallelConfig:
     #: are re-executed for real and compared against their derivation;
     #: any divergence aborts the campaign.
     verify_equivalence: float = 0.0
-    #: Divergence-window early exits + outcome memoization in workers
-    #: (the parallel face of ``goofi run --no-early-exit``). Each worker
-    #: memoizes the experiments of its own shards.
+    #: The liveness exit of the parent's schedule (the parallel face of
+    #: ``goofi run --no-early-exit``): False derives no row from the
+    #: golden run, so every index executes on a worker.
     early_exit: bool = True
 
     def validate(self) -> None:
@@ -158,19 +158,15 @@ def _worker_main(
     worker_id: int,
     obs_config: Optional[ObservabilityConfig],
     golden: Any,
-    early_exit: bool,
 ) -> None:
     """Worker process entry point.
 
     Builds an isolated port via ``factory``, binds the campaign (adopting
     the parent's golden run, or redoing the reference run when the port
     cannot adopt it), announces the reference run as a determinism
-    fingerprint, then serves ``("run", [indices], verify)`` task
-    messages until ``("quit",)``. The indices in ``verify`` re-execute
-    derived rows and run with every row shortcut off: a verification
-    that replays a memo would verify nothing.
-    ``early_exit`` is the port's instance knob of the same name (it
-    lives on the port rather than in CampaignData).
+    fingerprint, then serves ``("run", [indices])`` task messages until
+    ``("quit",)``. Every index executes; a verification of a derived row
+    is an index like any other.
 
     With observability enabled, the worker installs its *own* fresh
     instrumentation (a ``.workerN`` sibling trace file, an empty metrics
@@ -185,22 +181,15 @@ def _worker_main(
     try:
         campaign = CampaignData.from_json(campaign_json)
         port = factory()
-        port.early_exit = early_exit
         reference = port.prepare_run(campaign, golden=golden)
         conn.send(("ready", _reference_fingerprint(reference)))
         while True:
             message = conn.recv()
             if message[0] == "quit":
                 break
-            indices, verify = message[1], set(message[2])
-            for index in indices:
+            for index in message[1]:
                 try:
-                    if index in verify:
-                        result = port.run_single_experiment(
-                            index, shortcuts=False
-                        )
-                    else:
-                        result = port.run_single_experiment(index)
+                    result = port.run_single_experiment(index)
                     conn.send(("result", index, result))
                 except Exception as exc:  # reported upstream as an error
                     conn.send(
@@ -256,15 +245,10 @@ class _Worker:
     def idle(self) -> bool:
         return self.ready and not self.dead and not self.busy
 
-    def dispatch(
-        self,
-        indices: Sequence[int],
-        timeout: Optional[float],
-        verify: Sequence[int],
-    ) -> None:
+    def dispatch(self, indices: Sequence[int], timeout: Optional[float]) -> None:
         self.busy = True
         self.shard = deque(indices)
-        self.conn.send(("run", list(indices), list(verify)))
+        self.conn.send(("run", list(indices)))
         self.touch(timeout)
 
     def touch(self, timeout: Optional[float]) -> None:
@@ -389,6 +373,9 @@ class _ParallelRun:
             raise CampaignError(
                 "worker factory must build a FaultInjectionAlgorithms port"
             )
+        # Before prepare_run, which reads it: with early exit off the
+        # schedule derives no row from the golden run.
+        parent_port.early_exit = self.config.early_exit
         if self.config.golden_cache_dir is not None:
             from repro.core.goldencache import GoldenRunCache
 
@@ -451,7 +438,6 @@ class _ParallelRun:
                 worker_id,
                 self.obs_config,
                 self.golden,
-                self.config.early_exit,
             ),
             daemon=True,
         )
@@ -525,11 +511,7 @@ class _ParallelRun:
             shard = self._next_shard()
             if not shard:
                 return
-            worker.dispatch(
-                shard,
-                self.config.timeout_seconds,
-                verify=[i for i in shard if self.schedule.verifies(i)],
-            )
+            worker.dispatch(shard, self.config.timeout_seconds)
 
     def _next_shard(self) -> List[int]:
         shard: List[int] = []

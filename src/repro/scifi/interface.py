@@ -158,7 +158,6 @@ class ThorRDInterface(Framework):
         # never leaks into experiment execution.
         self.card.cpu.memory.stop_dirty_tracking()
         self._checkpointing = False
-        self._checkpoint_pages = set()
 
     def load_workload(self) -> None:
         workload = self._require_workload()
@@ -646,7 +645,7 @@ class ThorRDInterface(Framework):
         env_blob = pickle.dumps(
             self._environment, protocol=pickle.HIGHEST_PROTOCOL
         )
-        # One snapshot serves the payload and both digests.
+        # One snapshot serves the payload and the fingerprint.
         snapshot = self.card.cpu.snapshot()
         payload = {
             "cpu": snapshot,
@@ -662,7 +661,6 @@ class ThorRDInterface(Framework):
             payload=payload,
             dirty_pages=pages,
             fingerprint=fingerprint,
-            core_fingerprint=self._core_fingerprint(snapshot),
         )
 
     def restore_checkpoint(self, image: RestoreImage) -> None:
@@ -671,7 +669,6 @@ class ThorRDInterface(Framework):
         memory = self.card.cpu.memory
         memory.stop_dirty_tracking()
         self._checkpointing = False
-        self._checkpoint_pages = set(image.pages)
         # Memory: reset to all-zero (pages absent from the cumulative
         # image were all-zero at capture time by the reset contract),
         # then replay the page images.
@@ -716,61 +713,6 @@ class ThorRDInterface(Framework):
                 f"{fingerprint[:12]} != {image.fingerprint[:12]}"
             )
 
-    # ------------------------------------------------------------------
-    # Divergence-window blocks (faulty-run digest probing)
-    # ------------------------------------------------------------------
-
-    def start_divergence_tracking(self) -> None:
-        """Arm the faulty run for digest probing: establish the same
-        cumulative dirty-page set the golden fingerprints cover (a warm
-        restore already seeded it from the restore image; a cold start
-        seeds it from every non-zero page, exactly like the reference
-        run's first capture) and begin tracking writes."""
-        memory = self.card.cpu.memory
-        if not self._checkpoint_pages:
-            self._checkpoint_pages = set(memory.nonzero_pages())
-        memory.start_dirty_tracking()
-
-    def capture_core_digest(self) -> str:
-        """Cheap pre-filter digest of the faulty card (CPU core only —
-        a strict subset of :meth:`capture_state_digest`'s coverage, so a
-        mismatch here proves the full digests mismatch too). Roughly 5x
-        cheaper than the full fingerprint; the divergence-window runner
-        uses it to reject still-diverged probes without hashing memory
-        pages and scan chains."""
-        return self._core_fingerprint()
-
-    def capture_state_digest(self) -> str:
-        """Fingerprint of the stopped faulty card, computed exactly like
-        a golden tick's: fold pages dirtied since the last probe into
-        the cumulative set and digest. Purely observational — nothing is
-        reset beyond draining the dirty set, so probing never perturbs
-        the run it is probing."""
-        memory = self.card.cpu.memory
-        self._checkpoint_pages |= memory.drain_dirty_pages()
-        env_blob = pickle.dumps(
-            self._environment, protocol=pickle.HIGHEST_PROTOCOL
-        )
-        return self._checkpoint_fingerprint(
-            sorted(self._checkpoint_pages), env_blob
-        )
-
-    def _core_fingerprint(self, snapshot: Optional[dict] = None) -> str:
-        """Digest of the run counters and the full CPU snapshot (taken
-        now unless given) — every part appears verbatim in
-        :meth:`_checkpoint_fingerprint`, which is what makes the
-        cheap-rejection contract sound."""
-        cpu = self.card.cpu
-        return state_digest(
-            {
-                "cycles": cpu.cycles,
-                "instret": cpu.instret,
-                "iterations": cpu.iterations,
-                "halted": cpu.halted,
-                "cpu": cpu.snapshot() if snapshot is None else snapshot,
-            }
-        )
-
     def _checkpoint_fingerprint(
         self,
         pages: Sequence[int],
@@ -787,9 +729,8 @@ class ThorRDInterface(Framework):
         The full ``cpu.snapshot()`` (not just the scan-visible chains)
         makes the digest *total* with respect to future execution —
         pipeline force flags and the last-executed-instruction record
-        are not scan-mapped but do shape what runs next. Totality is
-        what lets the divergence-window runner treat digest equality as
-        proof of re-convergence (checkpoint format v2).
+        are not scan-mapped but do shape what runs next, so a restore
+        that drops either fails the check (checkpoint format v2).
 
         Every part is a handful of contiguous buffers hashed with
         ``tobytes``: the snapshot's typed arrays (checkpoint format v4),

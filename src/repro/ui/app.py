@@ -156,16 +156,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    default=0.0,
                    help="re-execute fraction P of derived experiments "
                         "(equivalence members, and dead faults derived "
-                        "from the golden run) for real and hard-fail the "
-                        "campaign if any outcome diverges from its "
+                        "from the golden run) as plain runs and hard-fail "
+                        "the campaign if any outcome diverges from its "
                         "derivation")
     p.add_argument("--no-early-exit", action="store_true",
                    help="disable liveness exits (plan-time golden rows "
-                        "for faults the reference trace proves dead), "
-                        "divergence-window digest "
-                        "exits and outcome memoization: simulate every "
-                        "faulty run to workload end (the escape hatch "
-                        "for debugging or timing studies)")
+                        "for faults the reference trace proves dead): "
+                        "simulate every faulty run to workload end (the "
+                        "escape hatch for debugging or timing studies)")
 
     p = sub.add_parser(
         "analyze",

@@ -1,8 +1,9 @@
 """Unit tests for the golden-run checkpoint store (repro.core.checkpoint).
 
 Covers the delta encode/decode round-trip, nearest-checkpoint lookup,
-the canonical state digest, and the port-level fingerprint-mismatch
-cold fallback.
+the canonical state digest, the port-level fingerprint-mismatch cold
+fallback, and the warm-restore strict boundary (an injection pinned
+exactly on checkpoint cadence).
 """
 
 import pytest
@@ -16,6 +17,7 @@ from repro.core.checkpoint import (
     CheckpointTick,
     state_digest,
 )
+from repro.core.triggers import TriggerSpec
 from repro.util.errors import CampaignError
 from tests.conftest import make_campaign
 
@@ -29,6 +31,20 @@ def make_store(*ticks) -> CheckpointStore:
     for cycle, dirty in ticks:
         store.append(CheckpointTick(cycle=cycle, payload={}, dirty_pages=dirty))
     return store
+
+
+def _rows(sink):
+    return [
+        (
+            r.termination.kind,
+            tuple(
+                tuple(sorted(i.to_dict().items())) for i in r.injections
+            ),
+            tuple(sorted(r.outputs.items())),
+            tuple(sorted(r.state_vector.items())),
+        )
+        for r in sink.results
+    ]
 
 
 class TestStateDigest:
@@ -101,14 +117,6 @@ class TestNearestLookup:
         assert store.nearest_before(99999) == 2
         assert store.nearest_before(0) is None
         assert CheckpointStore().nearest_before(10) is None
-
-    def test_first_after_is_strict(self):
-        store = make_store((0, {}), (512, {}), (1024, {}))
-        assert store.first_after(0) == 1
-        assert store.first_after(511) == 1
-        assert store.first_after(512) == 2
-        assert store.first_after(1024) is None
-        assert CheckpointStore().first_after(0) is None
 
 
 class TestDeltaRoundTrip:
@@ -228,3 +236,62 @@ class TestThorCaptureRestore:
         sink = target.run_campaign(campaign)
         assert target._checkpoints is None
         assert len(sink.results) == 2
+
+
+class TestWarmRestoreBoundary:
+    """Regression: an injection pinned exactly on checkpoint
+    cadence must restore from the checkpoint strictly *before* the
+    injection cycle, never the one captured at it."""
+
+    def _campaign_on_cadence(self, name, **overrides):
+        target = create_target("thor-rd")
+        probe = make_campaign(
+            campaign_name=f"{name}-probe",
+            workload_name="bubblesort",
+            workload_params={"n": 16},
+            n_experiments=1,
+            warm_start=True,
+        )
+        target.prepare_run(probe)
+        store = target._checkpoints
+        assert store is not None and len(store) >= 2
+        # Pin the trigger on the second captured cycle exactly.
+        on_cadence = store.cycles[1]
+        return make_campaign(
+            campaign_name=name,
+            workload_name="bubblesort",
+            workload_params={"n": 16},
+            trigger=TriggerSpec(kind="time-fixed", time=on_cadence),
+            warm_start=True,
+            n_experiments=4,
+            **overrides,
+        ), on_cadence
+
+    def test_restore_is_strictly_before_injection(self):
+        campaign, on_cadence = self._campaign_on_cadence("boundary-spy")
+        target = create_target("thor-rd")
+        restored_cycles = []
+        original = target.restore_checkpoint
+
+        def spy(image):
+            restored_cycles.append(image.cycle)
+            return original(image)
+
+        target.restore_checkpoint = spy
+        target.run_campaign(campaign)
+        assert restored_cycles, "warm path never engaged"
+        assert all(cycle < on_cadence for cycle in restored_cycles)
+
+    def test_on_cadence_outcomes_match_cold(self):
+        campaign, _ = self._campaign_on_cadence("boundary-rows")
+
+        def leg(warm):
+            target = create_target("thor-rd")
+            if not warm:
+                target.early_exit = False
+            sink = target.run_campaign(
+                campaign.modified(warm_start=warm)
+            )
+            return _rows(sink)
+
+        assert leg(True) == leg(False)

@@ -132,7 +132,7 @@ class TestVersionedKeys:
         _, campaign = prepared_target(cache)
         key = campaign_golden_key(campaign)
         entry = cache.load(key)
-        assert entry.checkpoint_format == 5
+        assert entry.checkpoint_format == 6
         entry.checkpoint_format = 3
         with open(cache.path_for(key), "wb") as handle:
             pickle.dump(entry, handle)
@@ -146,8 +146,22 @@ class TestVersionedKeys:
         _, campaign = prepared_target(cache)
         key = campaign_golden_key(campaign)
         entry = cache.load(key)
-        assert entry.checkpoint_format == 5
+        assert entry.checkpoint_format == 6
         entry.checkpoint_format = 4
+        with open(cache.path_for(key), "wb") as handle:
+            pickle.dump(entry, handle)
+        assert cache.load(key) is None
+
+    def test_format_5_entry_is_miss(self, tmp_path):
+        """Entries from before ticks lost their CPU-core-only fingerprint
+        (checkpoint format 5) carry a field this build no longer has:
+        they miss."""
+        cache = GoldenRunCache(tmp_path)
+        _, campaign = prepared_target(cache)
+        key = campaign_golden_key(campaign)
+        entry = cache.load(key)
+        assert entry.checkpoint_format == 6
+        entry.checkpoint_format = 5
         with open(cache.path_for(key), "wb") as handle:
             pickle.dump(entry, handle)
         assert cache.load(key) is None

@@ -295,7 +295,7 @@ class TestStepHookOnDemand:
         target.prepare_run(make_campaign(warm_start=warm_start))
         seen = _record_step_hooks(target)
         for index in range(4):
-            target.run_single_experiment(index, shortcuts=False)
+            target.run_single_experiment(index)
         assert seen and all(hook is None for hook in seen)
 
     def test_simfi_and_tsm_experiments_run_without_a_hook(self):
@@ -310,7 +310,7 @@ class TestStepHookOnDemand:
             target = create_target(target_name)
             target.prepare_run(make_campaign(**fields))
             seen = _record_step_hooks(target)
-            target.run_single_experiment(0, shortcuts=False)
+            target.run_single_experiment(0)
             assert seen and all(hook is None for hook in seen), target_name
 
     @pytest.mark.parametrize("target_name", ["thor-rd", "tsm-1"])

@@ -119,6 +119,45 @@ class TestParallelMatchesSerial:
         assert len(sink.results) == 4
 
 
+class TestEarlyExitOff:
+    def test_parent_derives_nothing(self, db):
+        """``ParallelConfig(early_exit=False)`` reaches the parent's
+        schedule: no row is derived from the golden run, the one worker
+        executes every index, and the rows equal a serial run with early
+        exit off."""
+        # Every dcache flip here is dead: with early exit on, the parent
+        # would derive each row from the golden run.
+        campaign = make_campaign(
+            campaign_name="parallel-no-early-exit",
+            workload_name="bubblesort",
+            workload_params={"n": 8, "seed": 7},
+            location_patterns=["scan:internal/dcache.*"],
+            n_experiments=8,
+            seed=20,
+        )
+        serial = create_target("thor-rd")
+        serial.early_exit = False
+        serial.run_campaign(campaign, sink=db)
+        par_db = GoofiDatabase(":memory:")
+        configure(metrics=True)
+        try:
+            run_parallel_campaign(
+                campaign,
+                worker_factory("thor-rd"),
+                sink=par_db,
+                config=fast_config(n_workers=1, early_exit=False),
+            )
+            counters = get_observability().metrics.snapshot()["counters"]
+        finally:
+            disable()
+        assert counters.get("divergence.liveness_exits", 0) == 0
+        assert counters.get("worker0.experiments_total") == 8
+        assert canonical_experiment_rows(
+            par_db, campaign.campaign_name
+        ) == canonical_experiment_rows(db, campaign.campaign_name)
+        par_db.close()
+
+
 class TestParallelController:
     def test_progress_and_state(self):
         controller = ParallelCampaignController(
@@ -258,7 +297,7 @@ class TestDrainAfterStop:
                 None,
             )
             worker = _Worker(0, parent_conn, process=None)
-            worker.dispatch([0, 1], timeout=None, verify=[])
+            worker.dispatch([0, 1], timeout=None)
             run.workers = [worker]
             for message in messages:
                 child_conn.send(message)

@@ -6,7 +6,8 @@ representatives/singletons (plus verify-sampled members) to workers as
 unsplittable units, and derives members' rows in the parent as they are
 logged. These tests pin serial/parallel equality, the class-aware
 sharding contract, and the schedule's edge paths (stop and resume, a
-representative that never produces a result, memo-free verification).
+representative that never produces a result, verification of duplicate
+plans).
 """
 
 import dataclasses
@@ -234,15 +235,15 @@ class TestScheduleEdgePaths:
             assert results[member].derived_from is None
             assert actual[member] == expected[member]
 
-    def test_verify_runs_bypass_the_memo(self):
+    def test_verify_reexecutes_duplicate_plans(self):
         """Duplicate plans fall into one class, so a verified member's
-        plan equals its representative's; replaying the representative's
-        memo entry would compare a copy against itself."""
+        plan equals its representative's; each verified member still
+        executes and is compared."""
         duration = create_target("thor-rd").prepare_run(
             equivalence_campaign()
         ).duration_cycles
         campaign = equivalence_campaign(
-            campaign_name="equiv-verify-memo",
+            campaign_name="equiv-verify-duplicates",
             use_preinjection=False,
             location_patterns=["scan:internal/cpu.regfile.r5"],
             trigger=TriggerSpec(kind="time-fixed", time=duration // 3),
@@ -262,9 +263,3 @@ class TestScheduleEdgePaths:
         assert counters.get("equivalence.verified", 0) == counters.get(
             "equivalence.collapsed", 0
         )
-        memo_hits = sum(
-            value
-            for name, value in counters.items()
-            if name.endswith("divergence.memo_hits")
-        )
-        assert memo_hits == 0

@@ -10,10 +10,10 @@ the wall-clock field, which is nondeterministic in both modes.
 
 Hypothesis drives technique, seed, campaign size and checkpoint
 cadence; the invariant is exact equality of the canonicalised results.
-The same gate covers the accelerations stacked on top of warm starts:
-liveness exits, digest early exits and outcome-memo replays must be
-byte-identical to the plain run-to-termination tail, over location sets
-that reach every cell kind the liveness exit judges.
+The same gate covers the acceleration stacked on top of warm starts:
+rows derived at the liveness exit must be byte-identical to the plain
+run-to-termination tail, over location sets that reach every cell kind
+the liveness exit judges.
 """
 
 import dataclasses
@@ -116,8 +116,8 @@ def _run(shape, warm, plain=False):
     )
     target = create_target("thor-rd")
     if plain:
-        # The paper's unaccelerated Figure-2 tail: no divergence-window
-        # early exits, no outcome memo (goofi run --no-early-exit).
+        # The paper's unaccelerated Figure-2 tail: no liveness exits
+        # (goofi run --no-early-exit).
         target.early_exit = False
     sink = target.run_campaign(campaign)
     return _canonical(sink), target
@@ -148,11 +148,10 @@ class TestWarmColdEquivalence:
     )
     @given(shape=exit_shapes)
     def test_early_exit_equals_plain_tail(self, shape):
-        """Liveness exits, digest early exits and memo replays must be
-        invisible in the logged rows: the default accelerated path is
-        byte-identical to the plain run-to-termination tail for every
-        technique, location set, seed, workload, checkpoint cadence and
-        fault model."""
+        """Liveness exits must be invisible in the logged rows: the
+        default accelerated path is byte-identical to the plain
+        run-to-termination tail for every technique, location set, seed,
+        workload, checkpoint cadence and fault model."""
         accelerated, _ = _run(shape, warm=True)
         plain, _ = _run(shape, warm=True, plain=True)
         assert accelerated == plain

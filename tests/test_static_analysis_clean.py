@@ -22,7 +22,6 @@ CHECKED_PATHS = [
     "src/repro/core/parallel.py",
     "src/repro/core/controller.py",
     "src/repro/core/checkpoint.py",
-    "src/repro/core/divergence.py",
     "src/repro/core/goldencache.py",
     "src/repro/service",
     "src/repro/util/sampling.py",

@@ -1,8 +1,8 @@
 """Regression pin: the bytes-level page scan equals the per-word scan.
 
 ``Memory.nonzero_pages`` used to walk every word in Python
-(O(memory_size) per call — it runs at the first checkpoint capture *and*
-at every cold divergence-tracking start). The vectorized core replaces
+(O(memory_size) per call — it runs at the first checkpoint capture of
+every reference run). The vectorized core replaces
 it with one ``tobytes`` plus a memcmp-speed compare per page; this suite
 pins the new implementation's page set to the retained slow reference
 (:func:`tests.reference_core.nonzero_pages_reference`) across adversarial
