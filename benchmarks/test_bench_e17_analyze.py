@@ -9,8 +9,8 @@ coverage breakdowns, heatmaps, equivalence accounting and the
 sequential-stopping advisor — over a *read-only* WAL connection while a
 concurrent writer keeps committing batches to a second campaign in the
 same file. That is the tool's operational contract: analytics over a
-live ``goofi serve`` database must neither stall the campaign writer
-nor be stalled by it.
+live ``goofi run`` database must neither stall the campaign writer nor
+be stalled by it.
 
 Shapes asserted:
 

@@ -23,9 +23,8 @@ One pass accumulates everything the report needs:
   ``analysis.ci_half_width`` gauge.
 
 Reports serialise deterministically (:meth:`CampaignReport.to_dict`
-contains no timestamps or wall-clock figures), so the CLI's ``--json``
-output and the fabric's ``/jobs/<id>/analysis`` payload for the same
-database state compare equal.
+contains no timestamps or wall-clock figures), so two ``--json``
+reports of the same database state compare equal.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ Two streaming accumulators behind the analytics engine:
 
 Both are O(rows × bins) in memory regardless of campaign size, render
 to compact ASCII grids, and serialise deterministically (rows ordered
-by activity, then name) so CLI and service reports compare equal.
+by activity, then name) so two reports of the same rows compare equal.
 """
 
 from __future__ import annotations

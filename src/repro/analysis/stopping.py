@@ -10,9 +10,9 @@ the current sample into a simple rule —
 — and, while the target is not yet met, estimates how many more trials
 the normal-approximation sample-size formula says are needed. The
 streaming analytics engine recomputes this per batch and exports the
-half-width as the live ``analysis.ci_half_width`` gauge, so the fabric
-progress display and the health monitor can show "how close to done is
-the *statistics*" next to "how close to done is the *row count*".
+half-width as the live ``analysis.ci_half_width`` gauge, so the health
+monitor can show "how close to done is the *statistics*" next to "how
+close to done is the *row count*".
 """
 
 from __future__ import annotations

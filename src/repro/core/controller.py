@@ -96,10 +96,6 @@ class CampaignController:
         #: RunMeta provenance row id of the current run (sinks that
         #: implement ``record_run_start`` only).
         self.run_id: Optional[int] = None
-        #: Extra provenance forwarded to ``record_run_start`` (the
-        #: campaign fabric tags runs with ``job_id``/``tenant``). Left
-        #: empty, the sink call is byte-for-byte what it always was.
-        self.run_tags: Dict[str, str] = {}
         self._listeners: List[ProgressListener] = []
         self._resume_event = threading.Event()
         self._resume_event.set()
@@ -320,9 +316,7 @@ class CampaignController:
         record_start = getattr(self.sink, "record_run_start", None)
         if not callable(record_start):
             return None
-        kwargs: Dict[str, object] = {"n_workers": self._planned_workers()}
-        kwargs.update(self.run_tags)
-        return record_start(campaign, **kwargs)
+        return record_start(campaign, n_workers=self._planned_workers())
 
     def _record_run_end(self, state: str) -> None:
         if self.run_id is None:

@@ -9,7 +9,8 @@ process runs it or in which order. This module exploits that:
 
 * each worker process builds its **own** Framework/simulator instance from
   a picklable factory (:func:`repro.core.framework.worker_factory`) and
-  performs its own reference run — nothing mutable is shared;
+  adopts the parent's golden run instead of redoing the reference run
+  — nothing mutable is shared;
 * experiments are dispatched **by index** in shards; workers execute them
   through the reentrant
   :meth:`~repro.core.algorithms.FaultInjectionAlgorithms.run_single_experiment`
@@ -101,11 +102,6 @@ class ParallelConfig:
     #: metric deltas). ``None`` inherits the process-global configuration
     #: (:func:`repro.observability.current_config`).
     observability: Optional[ObservabilityConfig] = None
-    #: Directory for the on-disk golden-run cache
-    #: (:class:`repro.core.goldencache.GoldenRunCache`): the parent's
-    #: reference run is loaded from / stored to it, keyed by the
-    #: campaign's config hash. ``None`` disables disk caching.
-    golden_cache_dir: Optional[str] = None
     #: Fraction of statically-derived experiments (equivalence mode) that
     #: are re-executed for real and compared against their derivation;
     #: any divergence aborts the campaign.
@@ -181,6 +177,9 @@ def _worker_main(
     try:
         campaign = CampaignData.from_json(campaign_json)
         port = factory()
+        # Derivation is the parent's schedule's: a worker executes every
+        # index it is sent, so it builds no reference-trace oracle.
+        port.early_exit = False
         reference = port.prepare_run(campaign, golden=golden)
         conn.send(("ready", _reference_fingerprint(reference)))
         while True:
@@ -376,19 +375,12 @@ class _ParallelRun:
         # Before prepare_run, which reads it: with early exit off the
         # schedule derives no row from the golden run.
         parent_port.early_exit = self.config.early_exit
-        if self.config.golden_cache_dir is not None:
-            from repro.core.goldencache import GoldenRunCache
-
-            parent_port.golden_cache = GoldenRunCache(
-                self.config.golden_cache_dir
-            )
         reference = parent_port.prepare_run(self.campaign)
         self.fingerprint = _reference_fingerprint(reference)
         self.sink.log_reference(self.campaign, reference)
         # Bundle the parent's golden run (reference + checkpoint store)
         # once; every worker adopts it instead of redoing the reference
-        # execution (free under ``fork``: copy-on-write). Built after
-        # prepare_run so a disk-cache hit is forwarded too.
+        # execution (free under ``fork``: copy-on-write).
         from repro.core.goldencache import GoldenRun, campaign_golden_key
 
         self.golden = GoldenRun(

@@ -141,7 +141,9 @@ class GoofiDatabase:
         ``CREATE TABLE IF NOT EXISTS`` is a no-op on a pre-existing
         table, so additive *column* migrations need an explicit
         ``ALTER TABLE`` (v2 → v3: ``LoggedSystemState.derivedFrom``;
-        v3 → v4: ``RunMeta.jobId`` / ``RunMeta.tenant``)."""
+        v3 → v4: ``RunMeta.jobId`` / ``RunMeta.tenant``). Nothing has
+        written the v4 columns since the campaign fabric was retired;
+        they are kept so rows an older fabric wrote stay readable."""
         columns = {
             row["name"]
             for row in self._conn.execute(
@@ -397,20 +399,15 @@ class GoofiDatabase:
         self,
         campaign: CampaignData,
         n_workers: int = 1,
-        job_id: Optional[str] = None,
-        tenant: Optional[str] = None,
     ) -> int:
         """Open a provenance row for one campaign execution; returns its
         ``runId``. Saves the campaign first so the foreign key holds
-        (the same ordering ``log_reference`` uses). Fabric runs pass
-        ``job_id``/``tenant`` (via ``CampaignController.run_tags``) so
-        the provenance chain reaches the submitting tenant."""
+        (the same ordering ``log_reference`` uses)."""
         self.save_campaign(campaign)
         cursor = self._conn.execute(
             "INSERT INTO RunMeta(campaignName, toolVersion, seed, "
-            "configHash, nWorkers, nExperiments, state, metaVersion, "
-            "jobId, tenant) "
-            "VALUES (?, ?, ?, ?, ?, ?, 'running', ?, ?, ?)",
+            "configHash, nWorkers, nExperiments, state, metaVersion) "
+            "VALUES (?, ?, ?, ?, ?, ?, 'running', ?)",
             (
                 campaign.campaign_name,
                 tool_version(),
@@ -419,8 +416,6 @@ class GoofiDatabase:
                 n_workers,
                 campaign.n_experiments,
                 RUNMETA_SCHEMA_VERSION,
-                job_id,
-                tenant,
             ),
         )
         self._conn.commit()
@@ -490,94 +485,6 @@ class GoofiDatabase:
             job_id=row["jobId"],
             tenant=row["tenant"],
         )
-
-    # ------------------------------------------------------------------
-    # FabricJob — the campaign fabric's job table (schema v4)
-    # ------------------------------------------------------------------
-
-    def save_job(self, job: Dict) -> None:
-        """Upsert one fabric job row (``goofi serve`` persists every
-        lifecycle transition here, so jobs survive server restarts and
-        are queryable next to the experiment rows they produced).
-
-        ``job`` is the JSON-safe dict the service layer exchanges
-        (:meth:`repro.service.schema.JobRecord.to_dict` plus a
-        ``"spec"`` key holding the submission document)."""
-        self._conn.execute(
-            "INSERT INTO FabricJob(jobId, tenant, state, priority, "
-            "campaignName, spec, submittedAt, startedAt, finishedAt, "
-            "allocatedWorkers, runId, error, result) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?) "
-            "ON CONFLICT(jobId) DO UPDATE SET "
-            "state = excluded.state, "
-            "startedAt = excluded.startedAt, "
-            "finishedAt = excluded.finishedAt, "
-            "allocatedWorkers = excluded.allocatedWorkers, "
-            "runId = excluded.runId, "
-            "error = excluded.error, "
-            "result = excluded.result",
-            (
-                job["job_id"],
-                job.get("tenant", "default"),
-                job.get("state", "queued"),
-                int(job.get("priority", 0)),
-                job.get("campaign_name", ""),
-                json.dumps(job.get("spec", {}), sort_keys=True),
-                float(job.get("submitted_at") or 0.0),
-                job.get("started_at"),
-                job.get("finished_at"),
-                int(job.get("allocated_workers", 0)),
-                job.get("run_id"),
-                job.get("error"),
-                (
-                    json.dumps(job["result"], sort_keys=True)
-                    if job.get("result") is not None
-                    else None
-                ),
-            ),
-        )
-        self._conn.commit()
-
-    def load_job(self, job_id: str) -> Dict:
-        row = self._conn.execute(
-            "SELECT * FROM FabricJob WHERE jobId = ?", (job_id,)
-        ).fetchone()
-        if row is None:
-            raise DatabaseError(f"no fabric job {job_id!r}")
-        return self._row_to_job(row)
-
-    def list_jobs(self, tenant: Optional[str] = None) -> List[Dict]:
-        """Persisted fabric jobs, submission order (optionally one
-        tenant's)."""
-        if tenant is None:
-            rows = self._conn.execute(
-                "SELECT * FROM FabricJob ORDER BY submittedAt, jobId"
-            ).fetchall()
-        else:
-            rows = self._conn.execute(
-                "SELECT * FROM FabricJob WHERE tenant = ? "
-                "ORDER BY submittedAt, jobId",
-                (tenant,),
-            ).fetchall()
-        return [self._row_to_job(row) for row in rows]
-
-    @staticmethod
-    def _row_to_job(row: sqlite3.Row) -> Dict:
-        return {
-            "job_id": row["jobId"],
-            "tenant": row["tenant"],
-            "state": row["state"],
-            "priority": row["priority"],
-            "campaign_name": row["campaignName"],
-            "spec": json.loads(row["spec"]) if row["spec"] else {},
-            "submitted_at": row["submittedAt"],
-            "started_at": row["startedAt"],
-            "finished_at": row["finishedAt"],
-            "allocated_workers": row["allocatedWorkers"],
-            "run_id": row["runId"],
-            "error": row["error"],
-            "result": json.loads(row["result"]) if row["result"] else None,
-        }
 
     # ------------------------------------------------------------------
     # Retrieval for the analysis phase

@@ -24,7 +24,10 @@ Schema history:
   timestamps, terminal result) and ``RunMeta.jobId`` / ``RunMeta.tenant``
   so the provenance chain reaches from an experiment row through RunMeta
   to the submitting tenant. Additive like v3: new table via
-  ``CREATE TABLE IF NOT EXISTS``, new columns via ``ALTER TABLE``.
+  ``CREATE TABLE IF NOT EXISTS``, new columns via ``ALTER TABLE``. The
+  fabric is retired: the table and both columns are kept, so databases
+  it wrote open unchanged and their ``RunMeta`` tags stay readable, but
+  nothing writes them any more.
 * **v5** — the streaming analytics layer (``goofi analyze``): two
   covering expression indices over ``LoggedSystemState`` so per-campaign
   outcome mixes and location×time heatmaps come out of index scans

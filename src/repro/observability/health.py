@@ -47,9 +47,9 @@ __all__ = [
 
 def analysis_metrics() -> Dict[str, float]:
     """Live analytics gauges (set by the streaming analysis engine),
-    keyed without their ``analysis.`` prefix — the health monitor and
-    the fabric progress display graft these next to row-count progress
-    so "how tight is the CI" is visible beside "how many rows are done".
+    keyed without their ``analysis.`` prefix — the health monitor
+    grafts these next to row-count progress so "how tight is the CI" is
+    visible beside "how many rows are done".
     Empty when metrics are disabled or no analysis has run yet."""
     from repro.observability import get_observability
 

@@ -32,7 +32,8 @@ __all__ = [
 ]
 
 #: Version of the RunMeta row contract (bumped when fields change).
-#: v2 adds the campaign-fabric provenance tags ``job_id`` / ``tenant``.
+#: v2 adds the campaign-fabric provenance tags ``job_id`` / ``tenant``;
+#: the fabric is retired, so rows written since leave them ``None``.
 RUNMETA_SCHEMA_VERSION = 2
 
 
@@ -73,9 +74,9 @@ class RunMeta:
     meta_version: int = RUNMETA_SCHEMA_VERSION
     metrics_snapshot: Optional[Dict[str, Any]] = None
     run_id: Optional[int] = None
-    #: Campaign-fabric provenance: the ``goofi serve`` job this run
-    #: executed for, and the tenant that submitted it (``None`` for
-    #: runs started outside the fabric).
+    #: Campaign-fabric provenance: the job this run executed for, and
+    #: the tenant that submitted it. Only rows the retired fabric
+    #: (``goofi serve``) wrote carry them; ``None`` everywhere else.
     job_id: Optional[str] = None
     tenant: Optional[str] = None
 

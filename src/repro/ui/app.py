@@ -19,13 +19,6 @@ Drives the four phases of a fault-injection study from the shell:
     goofi faultspace --db g.db --campaign c1    # fault-space accounting
     goofi gen-analysis --db g.db --campaign c1  # emit analysis script
     goofi port-skeleton --name MyBoard --techniques scifi
-
-The campaign fabric (fault injection as a service):
-
-    goofi serve   --db g.db --port 0 --workers 4   # REST job API
-    goofi submit  --url http://HOST:PORT --spec c.json --wait
-    goofi status  --url http://HOST:PORT [--job job-000001]
-    goofi results --url http://HOST:PORT --job job-000001
 """
 
 from __future__ import annotations
@@ -182,8 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "advice says stop once the detection-coverage "
                         "interval half-width is ≤ ε")
     p.add_argument("--json", action="store_true",
-                   help="emit the machine-readable report (identical to "
-                        "the fabric's /jobs/<id>/analysis payload)")
+                   help="emit the machine-readable report")
     p.add_argument("--batch-size", type=int, default=512,
                    help="rows fetched per cursor batch")
     p.add_argument("--time-bins", type=int, default=12,
@@ -247,74 +239,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--db", required=True)
     p.add_argument("--campaign", required=True)
     p.add_argument("--count", type=int, default=10)
-
-    p = sub.add_parser(
-        "serve",
-        help="run the campaign fabric: a REST job API scheduling "
-             "campaigns across a worker fleet",
-    )
-    p.add_argument("--db", required=True,
-                   help="shared sqlite sink every job logs into "
-                        "(must be a file path)")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=0,
-                   help="0 binds an ephemeral port (announced on stdout)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="total worker processes across concurrent jobs "
-                        "(default: max(2, cpu count))")
-    p.add_argument("--tenant-quota", type=int, default=8,
-                   help="max non-terminal jobs per tenant (0 = unlimited)")
-    p.add_argument("--max-queue", type=int, default=1024,
-                   help="max queued jobs across tenants (0 = unlimited)")
-    p.add_argument("--golden-cache", metavar="DIR",
-                   default=os.environ.get("GOOFI_GOLDEN_CACHE") or None,
-                   help="golden-run disk cache shared by every job, so "
-                        "reference runs dedupe across identical configs "
-                        "(GOOFI_GOLDEN_CACHE)")
-    p.add_argument("--shard-size", type=int, default=8)
-    p.add_argument("--start-method", default=None,
-                   choices=["fork", "spawn", "forkserver"])
-
-    p = sub.add_parser(
-        "submit", help="submit a campaign spec to a fabric server"
-    )
-    p.add_argument("--url", required=True,
-                   help="fabric base URL (as announced by 'goofi serve')")
-    p.add_argument("--spec", required=True,
-                   help="CampaignData JSON spec file (the same document "
-                        "'goofi lint --spec' validates)")
-    p.add_argument("--tenant", default="default")
-    p.add_argument("--priority", type=int, default=0,
-                   help="larger runs earlier; FIFO within a priority")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker processes requested from the fleet")
-    p.add_argument("--no-golden-cache", action="store_true",
-                   help="skip the server's golden-run cache for this job")
-    p.add_argument("--wait", action="store_true",
-                   help="poll the job to a terminal state before exiting "
-                        "(exit 1 when it failed)")
-    p.add_argument("--timeout", type=float, default=None,
-                   help="give up waiting after this many seconds")
-
-    p = sub.add_parser(
-        "status", help="fabric service/job status"
-    )
-    p.add_argument("--url", required=True)
-    p.add_argument("--job",
-                   help="job id; omitted, prints service info and the "
-                        "job list")
-    p.add_argument("--json", action="store_true",
-                   help="print the raw JSON body instead of a summary")
-
-    p = sub.add_parser(
-        "results",
-        help="canonical result rows of a finished fabric job "
-             "(byte-identical to a local serial run of the same spec)",
-    )
-    p.add_argument("--url", required=True)
-    p.add_argument("--job", required=True)
-    p.add_argument("--output", default="-",
-                   help="write the JSON payload to PATH (default stdout)")
 
     return parser
 
@@ -548,8 +472,8 @@ def _cmd_analyze(args) -> int:
         print("goofi: error: --gate needs --diff BASELINE", file=sys.stderr)
         return 2
     # Analytics never mutate: a read-only WAL connection sees the last
-    # committed snapshot and cannot stall a live 'goofi run'/'goofi serve'
-    # writer on the same file.
+    # committed snapshot and cannot stall a live 'goofi run' writer on
+    # the same file.
     with GoofiDatabase(args.db, readonly=True) as db:
         fresh = _analyze_one(db, args.campaign, args)
         if not args.diff:
@@ -668,142 +592,6 @@ def _cmd_propagate(args) -> int:
     return 0
 
 
-def _cmd_serve(args) -> int:
-    import time
-
-    from repro.service import FabricServer, ServiceConfig
-
-    kwargs = {
-        "db_path": args.db,
-        "host": args.host,
-        "port": args.port,
-        "tenant_quota": args.tenant_quota,
-        "max_queue": args.max_queue,
-        "golden_cache_dir": args.golden_cache,
-        "shard_size": args.shard_size,
-        "start_method": args.start_method,
-    }
-    if args.workers is not None:
-        kwargs["total_workers"] = args.workers
-    config = ServiceConfig(**kwargs)
-    server = FabricServer(config).start()
-    # The announce line is a contract: scripts (CI's service smoke, the
-    # examples in README) parse the URL out of it.
-    print(f"fabric: serving on {server.url('')}", flush=True)
-    print(
-        f"fabric: db={config.db_path} workers={config.total_workers} "
-        f"tenant-quota={config.tenant_quota}",
-        flush=True,
-    )
-    try:
-        while True:
-            time.sleep(1.0)
-    except KeyboardInterrupt:
-        print("fabric: shutting down", flush=True)
-    finally:
-        server.stop()
-    return 0
-
-
-def _fabric_client(url):
-    from repro.service import FabricClient
-
-    return FabricClient(url)
-
-
-def _cmd_submit(args) -> int:
-    import json
-
-    with open(args.spec) as handle:
-        document = json.load(handle)
-    if not isinstance(document, dict) or "campaign" not in document:
-        document = {"campaign": document}
-    document.setdefault("tenant", args.tenant)
-    document.setdefault("priority", args.priority)
-    document.setdefault("n_workers", args.workers)
-    if args.no_golden_cache:
-        document["use_golden_cache"] = False
-    client = _fabric_client(args.url)
-    record = client.submit(document)
-    job_id = record["job_id"]
-    print(f"submitted {job_id} ({record['campaign_name']}, "
-          f"tenant={record['tenant']}, priority={record['priority']})")
-    if not args.wait:
-        return 0
-    status = client.wait(job_id, timeout=args.timeout)
-    result = status.get("result") or {}
-    print(f"{job_id}: {status['state']} "
-          f"(n_done={result.get('n_done', 0)}, "
-          f"run_id={status.get('run_id')})")
-    if status["state"] == "failed":
-        print(f"goofi: error: {status.get('error')}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_status(args) -> int:
-    import json
-
-    client = _fabric_client(args.url)
-    if args.job:
-        status = client.status(args.job)
-        if args.json:
-            print(json.dumps(status, indent=2, sort_keys=True))
-            return 0
-        print(f"job:       {status['job_id']}")
-        print(f"state:     {status['state']}")
-        print(f"tenant:    {status['tenant']}")
-        print(f"campaign:  {status['campaign_name']} "
-              f"({status['n_experiments']} experiments)")
-        print(f"workers:   {status['allocated_workers']}"
-              f"/{status['n_workers']} requested")
-        progress = status.get("progress")
-        if progress:
-            eta = progress.get("eta_seconds")
-            print(f"progress:  {progress['n_done']}/{progress['n_total']} "
-                  f"({progress['percent_done']:.1f}%), "
-                  f"eta {'-' if eta is None else f'{eta:.1f}s'}")
-            analysis = progress.get("analysis")
-            if analysis and "ci_half_width" in analysis:
-                rows = analysis.get("rows_processed")
-                print(f"analysis:  CI half-width "
-                      f"{analysis['ci_half_width']:.4f} over "
-                      f"{int(rows) if rows is not None else '?'} rows")
-        if status.get("error"):
-            print(f"error:     {status['error']}")
-        return 0
-    info = client.info()
-    jobs = client.jobs()
-    if args.json:
-        print(json.dumps({"info": info, "jobs": jobs}, indent=2,
-                         sort_keys=True))
-        return 0
-    fleet = info["fleet"]
-    print(f"service:   {info['service']} (db={info['db_path']})")
-    print(f"fleet:     {fleet['busy_workers']}/{fleet['total_workers']} "
-          f"workers busy, queue depth {info['queue_depth']}")
-    for job in jobs:
-        print(f"  {job['job_id']}  {job['state']:10s} "
-              f"p{job['priority']:<3d} {job['tenant']:12s} "
-              f"{job['campaign_name']}")
-    return 0
-
-
-def _cmd_results(args) -> int:
-    import json
-
-    client = _fabric_client(args.url)
-    payload = client.results(args.job)
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.output == "-":
-        print(text)
-    else:
-        with open(args.output, "w") as handle:
-            handle.write(text + "\n")
-        print(f"wrote {len(payload['rows'])} rows to {args.output}")
-    return 0
-
-
 def _cmd_faultspace(args) -> int:
     from repro.analysis.faultspace import campaign_fault_space
 
@@ -897,14 +685,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_propagate(args)
         if args.command == "faultspace":
             return _cmd_faultspace(args)
-        if args.command == "serve":
-            return _cmd_serve(args)
-        if args.command == "submit":
-            return _cmd_submit(args)
-        if args.command == "status":
-            return _cmd_status(args)
-        if args.command == "results":
-            return _cmd_results(args)
         if args.command == "preview":
             with GoofiDatabase(args.db) as db:
                 campaign = db.load_campaign(args.campaign)

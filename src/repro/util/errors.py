@@ -35,12 +35,6 @@ class CampaignError(ReproError):
     """A fault-injection campaign could not be configured or run."""
 
 
-class ServiceError(ReproError):
-    """The campaign fabric (``goofi serve`` / its client) rejected an
-    operation: malformed job spec, quota exhaustion, unknown job id, or
-    an illegal lifecycle transition."""
-
-
 class NotImplementedByPort(TargetError):
     """A Framework abstract method was not implemented by the port.
 

@@ -8,6 +8,7 @@ must be taken or refused as the rule says.
 """
 
 import dataclasses
+import multiprocessing
 
 import pytest
 
@@ -551,6 +552,45 @@ class TestWhereTheOracleIsBuilt:
             location_patterns=["scan:internal/cpu.regfile.*"],
         ))
         assert target._liveness is target._trace_oracle is not None
+
+    def test_a_parallel_worker_builds_none(self):
+        """Derivation is the parent's: a worker adopting the parent's
+        golden run executes every index it is sent and builds no
+        oracle."""
+        from repro.core.goldencache import GoldenRun, campaign_golden_key
+        from repro.core.parallel import _reference_fingerprint, _worker_main
+
+        campaign = _campaign("bubblesort", checkpoint_interval=64)
+        parent = create_target("thor-rd")
+        reference = parent.prepare_run(campaign)
+        assert parent._trace_oracle is not None
+        golden = GoldenRun(
+            config_hash=campaign_golden_key(campaign),
+            target_name=campaign.target_name,
+            reference=reference,
+            checkpoints=parent._checkpoints,
+        )
+        ports = []
+
+        def factory():
+            ports.append(create_target("thor-rd"))
+            return ports[-1]
+
+        parent_conn, child_conn = multiprocessing.Pipe()
+        try:
+            parent_conn.send(("run", [0]))
+            parent_conn.send(("quit",))
+            _worker_main(
+                child_conn, factory, campaign.to_json(), 0, None, golden
+            )
+            messages = [parent_conn.recv() for _ in range(3)]
+        finally:
+            parent_conn.close()
+        assert messages[0] == ("ready", _reference_fingerprint(reference))
+        assert [m[0] for m in messages[1:]] == ["result", "done"]
+        (port,) = ports
+        assert port._reference is reference
+        assert port._trace_oracle is None
 
     def test_golden_cache_path_takes_the_exit(self, tmp_path):
         from repro.core.goldencache import GoldenRunCache

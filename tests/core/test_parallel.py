@@ -101,6 +101,44 @@ class TestParallelMatchesSerial:
         assert serial == parallel
         par_db.close()
 
+    def test_dynamic_pruning_rows_identical_to_serial(self, db):
+        """Workers prune with their own dynamic pre-injection oracle (a
+        worker builds no liveness-exit oracle to reuse) and log the
+        serial rows."""
+        campaign = make_campaign(
+            campaign_name="parallel-dynamic",
+            workload_name="bubblesort",
+            workload_params={"n": 8, "seed": 7},
+            location_patterns=[
+                "scan:internal/cpu.regfile.*",
+                "scan:internal/dcache.*",
+            ],
+            n_experiments=16,
+            seed=3,
+            use_preinjection=True,
+            preinjection_mode="dynamic",
+        )
+        create_target("thor-rd").run_campaign(campaign, sink=db)
+        par_db = GoofiDatabase(":memory:")
+        configure(metrics=True)
+        try:
+            run_parallel_campaign(
+                campaign, worker_factory("thor-rd"), sink=par_db,
+                config=fast_config(),
+            )
+            counters = get_observability().metrics.snapshot()["counters"]
+        finally:
+            disable()
+        assert sum(
+            counters.get(f"worker{n}.preinjection.rejected_total", 0)
+            for n in range(2)
+        ) > 0
+        serial = canonical_experiment_rows(db, campaign.campaign_name)
+        parallel = canonical_experiment_rows(par_db, campaign.campaign_name)
+        assert len(parallel) == 16
+        assert serial == parallel
+        par_db.close()
+
     def test_list_sink_results_arrive_in_index_order(self):
         campaign = make_campaign(n_experiments=9, seed=5)
         sink = run_parallel_campaign(

@@ -151,3 +151,102 @@ class TestSchemaMigration:
         by_index = {r.index: r for r in loaded}
         assert by_index[0].derived_from is None
         assert by_index[1].derived_from == rep.name
+
+
+class TestFabricEraDatabase:
+    """The retired campaign fabric (``goofi serve``) tagged each RunMeta
+    row with its job and tenant and kept one FabricJob row per job, in
+    schema v4. Nothing writes either any more; a database it wrote still
+    opens read-only and read-write, its tags stay readable and its job
+    rows stay as they were."""
+
+    @staticmethod
+    def _fabric_db(path):
+        """A v4 database holding one campaign run as the fabric logged
+        it; returns the run's id."""
+        import json
+
+        from repro.observability.runmeta import campaign_config_hash
+        from tests.conftest import make_campaign
+        from tests.db.test_database import make_reference, make_result
+
+        campaign = make_campaign(n_experiments=4)
+        with GoofiDatabase(path) as db:
+            db.log_reference(campaign, make_reference())
+            db.log_experiments(campaign, [make_result(i) for i in range(4)])
+        conn = sqlite3.connect(path)
+        conn.executescript(
+            "DROP INDEX idx_logged_campaign_outcome;"
+            "DROP INDEX idx_logged_campaign_location_time;"
+            "UPDATE SchemaInfo SET version = 4;"
+        )
+        run_id = conn.execute(
+            "INSERT INTO RunMeta(campaignName, toolVersion, seed, "
+            "configHash, nWorkers, nExperiments, state, finishedAt, "
+            "metaVersion, jobId, tenant) "
+            "VALUES (?, '0.1.0', ?, ?, 2, 4, 'finished', "
+            "CURRENT_TIMESTAMP, 2, 'job-000001', 'carol')",
+            (
+                campaign.campaign_name,
+                campaign.seed,
+                campaign_config_hash(campaign),
+            ),
+        ).lastrowid
+        spec = {
+            "campaign": campaign.to_dict(),
+            "tenant": "carol",
+            "priority": 0,
+            "n_workers": 2,
+            "use_golden_cache": True,
+        }
+        result = {"state": "finished", "n_total": 4, "n_done": 4}
+        conn.execute(
+            "INSERT INTO FabricJob(jobId, tenant, state, priority, "
+            "campaignName, spec, submittedAt, startedAt, finishedAt, "
+            "allocatedWorkers, runId, error, result) "
+            "VALUES ('job-000001', 'carol', 'finished', 0, ?, ?, "
+            "1700000000.0, 1700000000.5, 1700000002.0, 2, ?, NULL, ?)",
+            (
+                campaign.campaign_name,
+                json.dumps(spec, sort_keys=True),
+                run_id,
+                json.dumps(result, sort_keys=True),
+            ),
+        )
+        conn.commit()
+        conn.close()
+        return run_id
+
+    @staticmethod
+    def _job_rows(path):
+        conn = sqlite3.connect(path)
+        try:
+            return conn.execute("SELECT * FROM FabricJob").fetchall()
+        finally:
+            conn.close()
+
+    def test_tags_and_jobs_survive_every_open(self, tmp_path, capsys):
+        from repro.observability.cli import main as metrics_main
+        from repro.ui.app import main as goofi_main
+
+        path = str(tmp_path / "fabric.db")
+        run_id = self._fabric_db(path)
+        jobs = self._job_rows(path)
+        assert len(jobs) == 1
+        for readonly in (True, False):
+            with GoofiDatabase(path, readonly=readonly) as db:
+                run = db.load_run(run_id)
+            assert (run.job_id, run.tenant) == ("job-000001", "carol")
+        assert goofi_main(
+            ["analyze", "--db", path, "--campaign", "test-campaign"]
+        ) == 0
+        assert "detection coverage" in capsys.readouterr().out
+        assert metrics_main(["show", "--db", path, "test-campaign"]) == 0
+        out = capsys.readouterr().out
+        assert "fabric job:   job-000001" in out
+        assert "tenant:       carol" in out
+        assert self._job_rows(path) == jobs
+        conn = sqlite3.connect(path)
+        version = conn.execute("SELECT version FROM SchemaInfo").fetchone()
+        conn.close()
+        assert version == (SCHEMA_VERSION,)

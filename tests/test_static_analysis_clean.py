@@ -23,7 +23,6 @@ CHECKED_PATHS = [
     "src/repro/core/controller.py",
     "src/repro/core/checkpoint.py",
     "src/repro/core/goldencache.py",
-    "src/repro/service",
     "src/repro/util/sampling.py",
     "src/repro/observability",
     "src/repro/analysis/intervals.py",
